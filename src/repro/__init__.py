@@ -25,11 +25,11 @@ Quickstart::
     sched = schedule(tensor, model, algorithm="gomcds", capacity=cap)
     print(evaluate_schedule(sched, tensor, model).total)
 
-The individual algorithms (``scds``/``lomcds``/``gomcds``/``omcds``)
-remain importable but are deprecated entry points; ``schedule`` is the
-uniform front door, ``schedule_many`` the batched one
-(``docs/performance.md``), and the ``instrument=`` keyword hooks in the
-observability layer (``docs/observability.md``).
+``schedule`` is the uniform front door, ``schedule_many`` the batched
+one (``docs/performance.md``), and ``scheduler_spec`` gives each
+algorithm's metadata; the plain implementation functions live in
+:mod:`repro.core`.  The ``instrument=`` keyword of every solver hooks
+in the observability layer (``docs/observability.md``).
 """
 
 from .core import (
@@ -38,13 +38,9 @@ from .core import (
     Schedule,
     SchedulerSpec,
     evaluate_schedule,
-    get_scheduler,
-    gomcds,
     grouped_schedule,
-    lomcds,
     reschedule_around_faults,
     reschedule_from_window,
-    scds,
     scheduler_spec,
 )
 from .api import schedule
@@ -116,12 +112,8 @@ __all__ = [
     "CostModel",
     "Schedule",
     "CostBreakdown",
-    "scds",
-    "lomcds",
-    "gomcds",
     "grouped_schedule",
     "evaluate_schedule",
-    "get_scheduler",
     # unified scheduling API (docs/algorithms.md)
     "schedule",
     "scheduler_spec",

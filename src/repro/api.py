@@ -17,10 +17,10 @@ Algorithm-specific options are validated against the spec's
 ``supported_kwargs`` before dispatch, so a typo or an unsupported
 combination (``certify=True`` on SCDS) fails with the supported list
 instead of a bare ``TypeError`` from deep inside a solver.  The old
-entry points — calling ``scds``/``lomcds``/``gomcds`` directly, or via
-``get_scheduler(name)`` — still work but emit ``DeprecationWarning``;
-see ``docs/algorithms.md`` for the migration table.  For many solves
-at once, use :func:`repro.schedule_many`.
+top-level entry points (``repro.scds``/``lomcds``/``gomcds`` and
+``get_scheduler``) were removed; see ``docs/algorithms.md`` for the
+migration table.  For many solves at once, use
+:func:`repro.schedule_many`.
 """
 
 from __future__ import annotations

@@ -8,23 +8,15 @@ This package exposes the three data-scheduling algorithms of the paper
     )
 
 and an analytic evaluator, :func:`evaluate_schedule`, implementing the
-paper's communication-cost objective.  ``get_scheduler`` returns a
-frozen :class:`SchedulerSpec` — a uniformly-shaped callable carrying
-algorithm metadata; the ``repro.schedule`` facade in :mod:`repro.api`
-is the preferred front door.
-
-Calling ``scds``/``lomcds``/``gomcds`` through this package (or
-``repro``) emits a :class:`DeprecationWarning` pointing at the facade;
-the implementations in the submodules stay warning-free for internal
-use and for ``SCHEDULERS``/``SchedulerSpec.func``.
+paper's communication-cost objective.  ``scds``/``lomcds``/``gomcds``
+here are the plain implementation functions (the same objects as
+``SCHEDULER_SPECS[name].func``); the ``repro.schedule`` facade in
+:mod:`repro.api` is the front door, and :func:`scheduler_spec` returns
+a frozen :class:`SchedulerSpec` carrying each algorithm's metadata.
 """
-
-import functools as _functools
-import warnings as _warnings
 
 from .cost import CostModel
 from .budget import gomcds_budgeted, movement_frontier
-from .costgraph import build_cost_graph, gomcds_via_graph, solve_cost_graph
 from .evaluate import CostBreakdown, evaluate_schedule, per_datum_costs
 from .gomcds import gomcds, shortest_center_path
 from .grouping import (
@@ -48,43 +40,10 @@ from .replication import (
     greedy_k_median,
     replicated_scds,
 )
-from .registry import (
-    SCHEDULER_SPECS,
-    SCHEDULERS,
-    SchedulerSpec,
-    get_scheduler,
-    scheduler_spec,
-)
+from .registry import SCHEDULER_SPECS, SchedulerSpec, scheduler_spec
 from .kernels import KERNELS, resolve_kernel
 from .scds import scds
 from .schedule import Schedule
-
-
-def _deprecated_entry_point(func, algorithm):
-    """Wrap a scheduler so direct calls steer users to the facade.
-
-    ``SCHEDULERS`` and the specs keep the raw function; only the names
-    re-exported here (the public direct-call surface) warn.
-    """
-
-    @_functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        _warnings.warn(
-            f"calling {algorithm}() directly is deprecated; use "
-            f"repro.schedule(..., algorithm={algorithm!r}) or "
-            "repro.schedule_many()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return func(*args, **kwargs)
-
-    wrapper.__wrapped_scheduler__ = func
-    return wrapper
-
-
-scds = _deprecated_entry_point(scds, "scds")
-lomcds = _deprecated_entry_point(lomcds, "lomcds")
-gomcds = _deprecated_entry_point(gomcds, "gomcds")
 
 __all__ = [
     "CostModel",
@@ -98,9 +57,6 @@ __all__ = [
     "gomcds_budgeted",
     "movement_frontier",
     "shortest_center_path",
-    "build_cost_graph",
-    "solve_cost_graph",
-    "gomcds_via_graph",
     "greedy_grouping",
     "optimal_grouping",
     "grouped_schedule",
@@ -117,10 +73,8 @@ __all__ = [
     "replicated_scds",
     "evaluate_replicated",
     "greedy_k_median",
-    "get_scheduler",
     "scheduler_spec",
     "SchedulerSpec",
-    "SCHEDULERS",
     "SCHEDULER_SPECS",
     "KERNELS",
     "resolve_kernel",

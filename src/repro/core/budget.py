@@ -20,11 +20,14 @@ cost-vs-movement Pareto frontier (ablation K).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .gomcds import _walk_paths
 from .schedule import Schedule
 
 __all__ = ["gomcds_budgeted", "movement_frontier"]
@@ -94,25 +97,22 @@ def gomcds_budgeted(
     """Algorithm 2 under a per-datum relocation budget."""
     if max_moves < 0:
         raise ValueError("max_moves must be non-negative")
-    n_data, n_windows = tensor.n_data, tensor.n_windows
-    costs = model.all_placement_costs(tensor)
-    dist = model.distances.astype(np.float64)
-    centers = np.empty((n_data, n_windows), dtype=np.int64)
-
+    n_data = tensor.n_data
     tracker = None
     order = np.arange(n_data)
     if capacity is not None:
         capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=n_windows)
+        tracker = OccupancyTracker(capacity, n_windows=tensor.n_windows)
         order = tensor.data_priority_order()
 
-    for d in order:
-        move = dist * model.volume(int(d))
-        allowed = None if tracker is None else tracker.available_mask()
-        path, _ = _budgeted_path(costs[d], move, max_moves, allowed)
-        if tracker is not None:
-            tracker.claim_path(path)
-        centers[d] = path
+    centers, _, _ = _walk_paths(
+        partial(_budgeted_path, max_moves=max_moves),
+        model.all_placement_costs(tensor),
+        model.distances.astype(np.float64),
+        model.volume_vector(n_data),
+        order,
+        tracker=tracker,
+    )
     return Schedule(
         centers=centers,
         windows=tensor.windows,

@@ -62,7 +62,12 @@ class CostModel:
             return 1.0
         return float(self.volumes[d])
 
-    def _volume_column(self, n_data: int) -> np.ndarray:
+    def volume_vector(self, n_data: int) -> np.ndarray:
+        """``(n_data,)`` float64 transfer volumes (all ones by default).
+
+        Raises ``ValueError`` when the model's volumes do not cover
+        exactly ``n_data`` data.
+        """
         if self.volumes is None:
             return np.ones(n_data)
         if len(self.volumes) != n_data:
@@ -102,7 +107,7 @@ class CostModel:
         if tensor.n_procs != self.n_procs:
             raise ValueError("reference tensor does not match the processor array")
         costs = tensor.counts @ self.distances
-        vols = self._volume_column(tensor.n_data)
+        vols = self.volume_vector(tensor.n_data)
         return costs * vols[:, None, None]
 
     def movement_cost(self, d: int, src: int, dst: int) -> float:

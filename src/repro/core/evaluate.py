@@ -101,11 +101,7 @@ def per_datum_costs(
     if n_windows > 1:
         dist = model.distances
         hops = dist[schedule.centers[:, :-1], schedule.centers[:, 1:]].sum(axis=1)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
+        vols = model.volume_vector(n_data)
         move = hops * vols
     else:
         move = np.zeros(n_data)

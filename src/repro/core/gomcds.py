@@ -14,9 +14,10 @@ path reduces to a forward dynamic program over windows:
 
 which we evaluate with one ``(m, m)`` broadcast per window — and, when
 memory is unconstrained and volumes are uniform per datum, with a single
-``(D, m, m)`` broadcast per window for *all* data at once.  The explicit
-DAG construction lives in :mod:`repro.core.costgraph` and is used as a
-differential-testing oracle for this DP.
+``(D, m, m)`` broadcast per window for *all* data at once.  Two
+independent references hold this DP to account: the scalar kernel
+(:func:`repro.core.kernels.shortest_center_path_python`) and the
+certificate checker (:mod:`repro.verify.certificate`).
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _all_paths_vectorized(
     """Unconstrained DP for all data at once.
 
     ``costs`` is ``(D, W, m)``; movement between windows for datum ``d``
-    is ``vols[d] * dist``.  Returns ``(D, W)`` center paths, plus the
-    ``(D, W, m)`` DP potential tables when ``return_potentials``.
+    is ``vols[d] * dist``.  Returns the ``(D, W)`` center paths and the
+    ``(D, W, m)`` DP potential tables (``None`` unless
+    ``return_potentials``).
     """
     n_data, n_windows, n_procs = costs.shape
     back = np.zeros((n_data, n_windows, n_procs), dtype=np.int64)
@@ -140,9 +142,60 @@ def _all_paths_vectorized(
     rows = np.arange(n_data)
     for w in range(n_windows - 1, 0, -1):
         paths[:, w - 1] = back[rows, w, paths[:, w]]
-    if return_potentials:
-        return paths, potentials
-    return paths
+    return paths, potentials
+
+
+def _walk_paths(
+    solve_path,
+    costs: np.ndarray,
+    dist: np.ndarray,
+    vols: np.ndarray,
+    order,
+    *,
+    base: np.ndarray | None = None,
+    tracker: OccupancyTracker | None = None,
+    certify: bool = False,
+    record_masks: bool = False,
+):
+    """Route each datum through its cost-graph, masking claimed cells.
+
+    The one masked path walk behind GOMCDS, both fault reschedulers and
+    the movement-budgeted variant.  Data are taken in ``order``; datum
+    ``d`` may use the cells of ``base & tracker.available_mask()``
+    (either operand may be absent), ``solve_path`` picks its path over
+    ``costs[d]`` with relocation costs ``vols[d] * dist``, and the
+    tracker claims that path before the next datum is routed.
+
+    Returns ``(centers, potentials, masks)``: the ``(D, W)`` paths, the
+    ``(D, W, m)`` DP potentials when ``certify`` and the admissible mask
+    each datum was solved under when ``record_masks`` (else ``None``).
+    """
+    n_data, n_windows, n_procs = costs.shape
+    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    potentials = np.empty((n_data, n_windows, n_procs)) if certify else None
+    masks = (
+        np.empty((n_data, n_windows, n_procs), dtype=bool)
+        if record_masks
+        else None
+    )
+    for d in order:
+        allowed = base
+        if tracker is not None:
+            available = tracker.available_mask()
+            allowed = available if base is None else base & available
+        if masks is not None:
+            masks[d] = allowed
+        if certify:
+            path, _, potentials[d] = solve_path(
+                costs[d], vols[d] * dist, allowed=allowed,
+                return_potentials=True,
+            )
+        else:
+            path, _ = solve_path(costs[d], vols[d] * dist, allowed=allowed)
+        if tracker is not None:
+            tracker.claim_path(path)
+        centers[d] = path
+    return centers, potentials, masks
 
 
 def _certificate(
@@ -216,11 +269,7 @@ def gomcds(
             else:
                 costs = model.all_placement_costs(tensor)  # (D, W, m)
         dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
+        vols = model.volume_vector(n_data)
         obs.gauge("gomcds.dp_cells", n_data * n_windows * model.n_procs)
         solve_path = (
             shortest_center_path_python
@@ -230,74 +279,26 @@ def gomcds(
 
         record = obs.provenance.recording
         if capacity is None:
+            masks = None
             with obs.span("gomcds.dp_sweep"):
                 if kernel == "python":
-                    centers = np.empty((n_data, n_windows), dtype=np.int64)
-                    potentials = (
-                        np.empty((n_data, n_windows, model.n_procs))
-                        if certify
-                        else None
+                    centers, potentials, _ = _walk_paths(
+                        solve_path, costs, dist, vols, range(n_data),
+                        certify=certify,
                     )
-                    for d in range(n_data):
-                        if certify:
-                            centers[d], _, potentials[d] = solve_path(
-                                costs[d], vols[d] * dist,
-                                return_potentials=True,
-                            )
-                        else:
-                            centers[d], _ = solve_path(costs[d], vols[d] * dist)
-                    meta = (
-                        {"certificate": _certificate(potentials)}
-                        if certify
-                        else {}
-                    )
-                elif certify:
+                else:
                     centers, potentials = _all_paths_vectorized(
-                        costs, dist, vols, return_potentials=True
+                        costs, dist, vols, return_potentials=certify
                     )
-                    meta = {"certificate": _certificate(potentials)}
-                else:
-                    centers = _all_paths_vectorized(costs, dist, vols)
-                    meta = {}
-            if record:
-                record_decisions(
-                    obs, costs=costs, centers=centers, model=model,
-                    method="GOMCDS", kernel=kernel,
+        else:
+            capacity.check_feasible(n_data)
+            tracker = OccupancyTracker(capacity, n_windows=n_windows)
+            with obs.span("gomcds.capacity_walk"):
+                centers, potentials, masks = _walk_paths(
+                    solve_path, costs, dist, vols, tensor.data_priority_order(),
+                    tracker=tracker, certify=certify,
+                    record_masks=certify or record,
                 )
-            return Schedule(
-                centers=centers,
-                windows=tensor.windows,
-                method="GOMCDS",
-                meta=meta,
-            )
-
-        capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=n_windows)
-        centers = np.empty((n_data, n_windows), dtype=np.int64)
-        potentials = (
-            np.empty((n_data, n_windows, model.n_procs)) if certify else None
-        )
-        masks = (
-            np.empty((n_data, n_windows, model.n_procs), dtype=bool)
-            if certify or record
-            else None
-        )
-        with obs.span("gomcds.capacity_walk"):
-            for d in tensor.data_priority_order():
-                allowed = tracker.available_mask()
-                if masks is not None:
-                    masks[d] = allowed
-                if certify:
-                    path, _, potentials[d] = solve_path(
-                        costs[d], vols[d] * dist, allowed=allowed,
-                        return_potentials=True,
-                    )
-                else:
-                    path, _ = solve_path(
-                        costs[d], vols[d] * dist, allowed=allowed
-                    )
-                tracker.claim_path(path)
-                centers[d] = path
         meta = {"certificate": _certificate(potentials, masks)} if certify else {}
         if record:
             record_decisions(

@@ -75,11 +75,7 @@ def _omcds_body(
     with obs.span("omcds.cost_tensor"):
         costs = model.all_placement_costs(tensor)  # (D, W, m)
     dist = model.distances.astype(np.float64)
-    vols = (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+    vols = model.volume_vector(n_data)
     centers = np.empty((n_data, n_windows), dtype=np.int64)
 
     tracker = None

@@ -89,11 +89,7 @@ def refine_schedule(
     n_data, n_windows = centers.shape
     n_procs = model.n_procs
     cost_tensor = model.all_placement_costs(tensor)
-    vols = (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+    vols = model.volume_vector(n_data)
     dist = model.distances.astype(np.float64)
 
     caps = (

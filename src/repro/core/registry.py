@@ -1,21 +1,18 @@
 """Scheduler registry: frozen specs behind uniformly-shaped callables.
 
-Historically each scheduling algorithm was a bare function with its own
-keyword surface; callers had to know that ``omcds`` takes ``hysteresis``
-while ``scds`` does not, and there was no metadata to drive tables, CLIs
-or the observability layer.  :class:`SchedulerSpec` fixes the shape once:
+Each scheduling algorithm is a plain function with its own keyword
+surface (``omcds`` takes ``hysteresis``, ``scds`` does not).
+:class:`SchedulerSpec` fixes the call shape once and carries the
+metadata that drives tables, CLIs and the observability layer:
 
     spec(tensor, model, capacity=None, *, instrument=None, **kwargs)
 
-``get_scheduler`` now returns a spec (it *is* a callable, so every old
-``get_scheduler(name)(tensor, model, capacity)`` call keeps working),
-and the ``SCHEDULERS`` mapping of raw functions is preserved for
-backwards compatibility.
+:func:`scheduler_spec` looks a spec up by name; :func:`repro.schedule`
+and :func:`repro.schedule_many` dispatch through it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,8 +26,6 @@ from .schedule import Schedule
 __all__ = [
     "SchedulerSpec",
     "SCHEDULER_SPECS",
-    "SCHEDULERS",
-    "get_scheduler",
     "scheduler_spec",
 ]
 
@@ -137,12 +132,6 @@ SCHEDULER_SPECS: dict[str, SchedulerSpec] = {
     )
 }
 
-#: Backwards-compatible registry of the raw scheduler functions by
-#: table-column name (plus the online extension OMCDS).
-SCHEDULERS: dict[str, Callable] = {
-    name: spec.func for name, spec in SCHEDULER_SPECS.items()
-}
-
 
 def scheduler_spec(name: str) -> SchedulerSpec:
     """Look up a :class:`SchedulerSpec` by name (case-insensitive)."""
@@ -152,22 +141,3 @@ def scheduler_spec(name: str) -> SchedulerSpec:
         known = ", ".join(sorted(SCHEDULER_SPECS))
         raise KeyError(f"unknown scheduler {name!r}; known: {known}") from None
 
-
-def get_scheduler(name: str) -> SchedulerSpec:
-    """Deprecated alias for :func:`scheduler_spec`.
-
-    Returns the :class:`SchedulerSpec` — a callable with the uniform
-    ``(tensor, model, capacity=None, *, instrument=None, **kwargs)``
-    shape — so existing ``get_scheduler(name)(tensor, model, cap)``
-    call sites keep working.  New code should call
-    :func:`repro.schedule`/:func:`repro.schedule_many` (or
-    :func:`scheduler_spec` for metadata).
-    """
-    warnings.warn(
-        "get_scheduler() is deprecated; use repro.schedule(..., "
-        "algorithm=name) / repro.schedule_many(), or scheduler_spec() "
-        "for algorithm metadata",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scheduler_spec(name)

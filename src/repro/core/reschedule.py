@@ -26,7 +26,7 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _certificate, shortest_center_path
+from .gomcds import _certificate, _walk_paths, shortest_center_path
 from .schedule import Schedule
 
 __all__ = [
@@ -112,12 +112,6 @@ def reschedule_around_faults(
 
         with obs.span("reschedule.cost_tensor"):
             costs = model.all_placement_costs(tensor)  # (D, W, m)
-        dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
 
         tracker = None
         if capacity is not None:
@@ -125,32 +119,13 @@ def reschedule_around_faults(
             tracker = OccupancyTracker(capacity, n_windows=n_windows)
 
         record = obs.provenance.recording
-        centers = np.empty((n_data, n_windows), dtype=np.int64)
-        potentials = np.empty((n_data, n_windows, n_procs)) if certify else None
-        masks = (
-            np.empty((n_data, n_windows, n_procs), dtype=bool)
-            if certify or record
-            else None
-        )
         with obs.span("reschedule.capacity_walk"):
-            for d in tensor.data_priority_order():
-                allowed = (
-                    alive if tracker is None else alive & tracker.available_mask()
-                )
-                if masks is not None:
-                    masks[d] = allowed
-                if certify:
-                    path, _, potentials[d] = shortest_center_path(
-                        costs[d], vols[d] * dist, allowed=allowed,
-                        return_potentials=True,
-                    )
-                else:
-                    path, _ = shortest_center_path(
-                        costs[d], vols[d] * dist, allowed=allowed
-                    )
-                if tracker is not None:
-                    tracker.claim_path(path)
-                centers[d] = path
+            centers, potentials, masks = _walk_paths(
+                shortest_center_path, costs, model.distances.astype(np.float64),
+                model.volume_vector(n_data), tensor.data_priority_order(),
+                base=alive, tracker=tracker, certify=certify,
+                record_masks=certify or record,
+            )
         meta = {"n_node_faults": len(plan.node_faults)}
         if certify:
             meta["certificate"] = _certificate(potentials, masks)
@@ -245,15 +220,15 @@ def reschedule_from_window(
             )
         obs.gauge("reschedule.masked_cells", int((~alive).sum()))
 
+        dist = model.distances.astype(np.float64)
+        vols = model.volume_vector(n_data)
         with obs.span("reschedule.cost_tensor"):
             full_costs = model.all_placement_costs(tensor)
-            costs = full_costs[:, from_window:, :]
-        dist = model.distances.astype(np.float64)
-        vols = (
-            np.ones(n_data)
-            if model.volumes is None
-            else np.asarray(model.volumes, dtype=np.float64)
-        )
+            costs = full_costs[:, from_window:, :].copy()
+            # pin the suffix to the rollback residency: entering window
+            # ``from_window`` at center c costs the move from where the
+            # datum actually sits right now
+            costs[:, 0] += vols[:, None] * dist[placement]
 
         tracker = None
         if capacity is not None:
@@ -261,45 +236,14 @@ def reschedule_from_window(
             tracker = OccupancyTracker(capacity, n_windows=n_suffix)
 
         record = obs.provenance.recording
-        centers = schedule.centers.copy()
-        potentials = np.empty((n_data, n_suffix, n_procs)) if certify else None
-        masks = (
-            np.empty((n_data, n_suffix, n_procs), dtype=bool)
-            if certify
-            else None
-        )
-        # provenance covers the full horizon (prefix decisions are history,
-        # admissible everywhere), so attribution reconstructs the produced
-        # schedule's CostBreakdown, prefix included
-        prov_masks = (
-            np.ones((n_data, n_windows, n_procs), dtype=bool) if record else None
-        )
         with obs.span("reschedule.capacity_walk"):
-            for d in tensor.data_priority_order():
-                window_costs = costs[d].copy()
-                # pin the suffix to the rollback residency: entering window
-                # ``from_window`` at center c costs the move from where the
-                # datum actually sits right now
-                window_costs[0] += vols[d] * dist[placement[d], :]
-                allowed = (
-                    alive if tracker is None else alive & tracker.available_mask()
-                )
-                if masks is not None:
-                    masks[d] = allowed
-                if prov_masks is not None:
-                    prov_masks[d, from_window:] = allowed
-                if certify:
-                    path, _, potentials[d] = shortest_center_path(
-                        window_costs, vols[d] * dist, allowed=allowed,
-                        return_potentials=True,
-                    )
-                else:
-                    path, _ = shortest_center_path(
-                        window_costs, vols[d] * dist, allowed=allowed
-                    )
-                if tracker is not None:
-                    tracker.claim_path(path)
-                centers[d, from_window:] = path
+            suffix, potentials, masks = _walk_paths(
+                shortest_center_path, costs, dist, vols,
+                tensor.data_priority_order(), base=alive, tracker=tracker,
+                certify=certify, record_masks=certify or record,
+            )
+        centers = schedule.centers.copy()
+        centers[:, from_window:] = suffix
         meta = {
             "from_window": from_window,
             "n_node_faults": len(plan.node_faults),
@@ -310,6 +254,11 @@ def reschedule_from_window(
                 potentials, masks, from_window=from_window, placement=placement
             )
         if record:
+            # provenance covers the full horizon (prefix decisions are
+            # history, admissible everywhere), so attribution reconstructs
+            # the produced schedule's CostBreakdown, prefix included
+            prov_masks = np.ones((n_data, n_windows, n_procs), dtype=bool)
+            prov_masks[:, from_window:] = masks
             record_decisions(
                 obs, costs=full_costs, centers=centers, model=model,
                 method="GOMCDS+recovery", masks=prov_masks,

@@ -33,7 +33,6 @@ worker counts.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -94,21 +93,6 @@ def _effective_options(request: ScheduleRequest, kernel: str | None) -> dict:
         if "kernel" in spec.supported_kwargs:
             options["kernel"] = kernel
     return options
-
-
-def _worker_init() -> None:
-    """Pool-worker initializer: keep worker stderr quiet.
-
-    Workers import and solve through the facade; the deprecation
-    warnings aimed at *users* of the legacy direct-call surface must
-    not leak from worker processes to the parent's stderr once per
-    task, so they are filtered out for the worker's lifetime.
-    """
-    warnings.filterwarnings(
-        "ignore",
-        message=r"calling \w+\(\) directly is deprecated",
-        category=DeprecationWarning,
-    )
 
 
 def _solve_one(
@@ -316,9 +300,7 @@ def _run_pending(pending, workers, kernel, obs):
 
     collect = obs.enabled
     provenance = obs.provenance.recording
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_solve_in_worker, request, kernel, collect, provenance)
             for _, request in pending

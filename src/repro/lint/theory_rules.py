@@ -51,11 +51,7 @@ def check_one_step_optimality(context):
     n_data, n_windows = schedule.n_data, schedule.n_windows
     costs = model.all_placement_costs(tensor)  # (D, W, m)
     dist = model.distances.astype(np.float64)
-    vols = (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+    vols = model.volume_vector(n_data)
 
     headroom = None
     if context.capacity is not None and context.capacity.n_procs == model.n_procs:

@@ -264,14 +264,6 @@ class DecisionLog:
 # ---------------------------------------------------------------------------
 
 
-def _model_volumes(model, n_data: int) -> np.ndarray:
-    return (
-        np.ones(n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
-
-
 def _empty_log(method, kernel, n_procs, centers, volumes, label, meta) -> DecisionLog:
     shape = centers.shape
     return DecisionLog(
@@ -475,7 +467,7 @@ def record_decisions(
         costs,
         centers,
         np.asarray(model.distances, dtype=np.float64),
-        _model_volumes(model, centers.shape[0]),
+        model.volume_vector(centers.shape[0]),
         method=method,
         kernel=kernel,
         masks=masks,

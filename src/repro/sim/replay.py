@@ -175,11 +175,7 @@ def _spatial_recorder(obs, schedule, model, label: str | None = None):
     spatial telemetry; ``(None, None)`` on every uninstrumented path."""
     if not (obs.enabled and obs.spatial.recording):
         return None, None
-    vols = (
-        np.ones(schedule.n_data)
-        if model.volumes is None
-        else np.asarray(model.volumes, dtype=np.float64)
-    )
+    vols = model.volume_vector(schedule.n_data)
     recorder = SpatialRecorder(
         model.topology,
         schedule.windows.n_windows,

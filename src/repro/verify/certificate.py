@@ -39,7 +39,7 @@ from ..diagnostics import VER005, VER006, VER007, VER011, Diagnostic, Severity
 from ..faults import FaultPlan
 from ..theory import is_separable_convex
 from ..trace import ReferenceTensor
-from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit, _volumes
+from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit
 
 __all__ = ["check_certificate", "certificate_of"]
 
@@ -166,7 +166,7 @@ def check_certificate(
         np.float64, copy=True
     )
     dist = model.distances.astype(np.float64)
-    vols = _volumes(model, n_data)
+    vols = model.volume_vector(n_data)
     if placement is not None:
         # the recovery DP pins its first window to the rollback residency
         costs[:, 0, :] += vols[:, None] * dist[placement, :]

@@ -102,11 +102,11 @@ def test_bad_hysteresis_rejected(drift, mesh44):
 
 
 def test_registered_in_scheduler_registry():
-    from repro.core import SCHEDULERS, get_scheduler
+    from repro.core import SCHEDULER_SPECS, scheduler_spec
 
-    # get_scheduler returns the uniformly-shaped spec wrapping the function
-    assert get_scheduler("omcds").func is omcds
-    assert SCHEDULERS["OMCDS"] is omcds
+    # scheduler_spec returns the uniformly-shaped spec wrapping the function
+    assert scheduler_spec("omcds").func is omcds
+    assert SCHEDULER_SPECS["OMCDS"].func is omcds
 
 
 def test_method_label(drift, mesh44):

@@ -171,13 +171,11 @@ def test_constructor_rejects_nonpositive_with_coded_error():
 
 
 def test_provenance_solves_flight_record():
+    from repro.core import CostModel
+    from repro.grid import Mesh1D
     from repro.obs import Instrumentation
     from repro.obs.provenance import ProvenanceStore, record_decisions
     import numpy as np
-
-    class Model:
-        distances = np.zeros((2, 2))
-        volumes = None
 
     ring = flight_recorder()
     watermark = ring.next_seq
@@ -188,7 +186,7 @@ def test_provenance_solves_flight_record():
         obs,
         costs=costs,
         centers=np.zeros((1, 1), dtype=np.int64),
-        model=Model(),
+        model=CostModel(Mesh1D(2)),
         method="SCDS",
     )
     kinds = [e["kind"] for e in ring.events_since(watermark)]

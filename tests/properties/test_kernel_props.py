@@ -1,6 +1,8 @@
 """Kernel parity: the numpy fast path is bit-identical to the scalar
 python reference oracle, on random instances and the paper benchmarks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,20 +99,50 @@ def test_certificates_bit_identical(tensor):
     )
 
 
-@given(
-    arrays(
-        dtype=np.float64,
-        shape=st.tuples(st.integers(1, 6), st.just(6)),
-        elements=st.floats(0, 50, allow_nan=False),
+def _brute_force_total(window_costs, move, allowed):
+    """Cheapest center path by exhaustive search over all ``m**W`` paths."""
+    n_windows, n_procs = window_costs.shape
+    best = float("inf")
+    for path in itertools.product(range(n_procs), repeat=n_windows):
+        if allowed is not None and not all(
+            allowed[w, p] for w, p in enumerate(path)
+        ):
+            continue
+        cost = sum(float(window_costs[w, p]) for w, p in enumerate(path))
+        cost += sum(float(move[a, b]) for a, b in zip(path, path[1:]))
+        best = min(best, cost)
+    return best
+
+
+@st.composite
+def path_instances(draw, n_procs=6):
+    n_windows = draw(st.integers(1, 4))
+    window_costs = draw(
+        arrays(
+            dtype=np.float64,
+            shape=(n_windows, n_procs),
+            elements=st.integers(0, 50).map(float),
+        )
     )
-)
+    allowed = None
+    if draw(st.booleans()):
+        allowed = draw(arrays(dtype=np.bool_, shape=(n_windows, n_procs)))
+        allowed[:, 0] = True  # column 0 keeps every window feasible
+    return window_costs, allowed
+
+
+@given(path_instances())
 @settings(max_examples=60, deadline=None)
-def test_shortest_path_matches_vectorized(window_costs):
+def test_shortest_path_matches_vectorized(instance):
+    """Both kernels agree bit for bit and find the true shortest path,
+    with and without a memory mask (integer costs keep sums exact)."""
+    window_costs, allowed = instance
     move = CostModel(TOPO).distances.astype(float)
-    path_py, total_py = shortest_center_path_python(window_costs, move)
-    path_np, total_np = shortest_center_path(window_costs, move)
+    path_py, total_py = shortest_center_path_python(window_costs, move, allowed)
+    path_np, total_np = shortest_center_path(window_costs, move, allowed)
     assert np.array_equal(path_py, path_np)
     assert total_py == total_np
+    assert total_np == _brute_force_total(window_costs, move, allowed)
 
 
 @given(

@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,8 @@ import repro
 from repro import schedule
 from repro.core import (
     SCHEDULER_SPECS,
-    SCHEDULERS,
     SchedulerSpec,
     evaluate_schedule,
-    get_scheduler,
     gomcds,
     lomcds,
     omcds,
@@ -72,7 +74,6 @@ def test_spec_registry_shape():
     assert set(SCHEDULER_SPECS) == {"SCDS", "LOMCDS", "GOMCDS", "OMCDS"}
     for name, spec in SCHEDULER_SPECS.items():
         assert spec.name == name
-        assert SCHEDULERS[name] is spec.func
         assert spec.to_dict()["name"] == name
     assert SCHEDULER_SPECS["SCDS"].multi_center is False
     assert SCHEDULER_SPECS["GOMCDS"].movement_aware is True
@@ -84,10 +85,10 @@ def test_specs_are_frozen():
         SCHEDULER_SPECS["GOMCDS"].name = "other"
 
 
-def test_get_scheduler_returns_uniform_callable(lu8_tensor, model44):
-    spec = get_scheduler("gomcds")
+def test_scheduler_spec_returns_uniform_callable(lu8_tensor, model44):
+    spec = scheduler_spec("gomcds")
     assert isinstance(spec, SchedulerSpec)
-    # old positional-capacity call shape still works
+    # positional-capacity call shape works on the spec
     sched = spec(lu8_tensor, model44, None)
     assert sched.method == "GOMCDS"
 
@@ -177,21 +178,7 @@ def test_spec_reports_supported_kwargs():
         )
 
 
-# --- deprecated entry points ------------------------------------------------
-
-
-def test_direct_scheduler_calls_warn(lu8_tensor, model44):
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        scds(lu8_tensor, model44)
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        lomcds(lu8_tensor, model44)
-    with pytest.warns(DeprecationWarning, match="repro.schedule"):
-        gomcds(lu8_tensor, model44)
-
-
-def test_get_scheduler_warns():
-    with pytest.warns(DeprecationWarning, match="scheduler_spec"):
-        get_scheduler("gomcds")
+# --- one implementation per algorithm, no deprecated layer -----------------
 
 
 def test_facade_and_scheduler_spec_do_not_warn(lu8_tensor, model44):
@@ -203,6 +190,24 @@ def test_facade_and_scheduler_spec_do_not_warn(lu8_tensor, model44):
         scheduler_spec("GOMCDS")(lu8_tensor, model44)
 
 
-def test_deprecated_wrappers_expose_the_raw_scheduler():
-    assert scds.__wrapped_scheduler__ is SCHEDULERS["SCDS"]
-    assert SCHEDULER_SPECS["SCDS"].func is SCHEDULERS["SCDS"]
+def test_core_names_are_the_spec_functions():
+    assert scds is SCHEDULER_SPECS["SCDS"].func
+    assert lomcds is SCHEDULER_SPECS["LOMCDS"].func
+    assert gomcds is SCHEDULER_SPECS["GOMCDS"].func
+    assert omcds is SCHEDULER_SPECS["OMCDS"].func
+    for name in ("scds", "lomcds", "gomcds", "get_scheduler"):
+        assert not hasattr(repro, name)
+
+
+def test_import_does_not_load_networkx():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "False"
