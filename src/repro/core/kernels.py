@@ -24,14 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mem import CapacityError, first_available
+
 __all__ = [
     "KERNELS",
     "resolve_kernel",
+    "placement_cost_tensor",
     "placement_cost_tensor_python",
     "merged_totals_python",
     "local_argmin_python",
     "hold_position_python",
     "hold_position_numpy",
+    "lomcds_walk_python",
     "shortest_center_path_python",
 ]
 
@@ -53,6 +57,13 @@ def resolve_kernel(kernel: str | None) -> str:
 # ---------------------------------------------------------------------------
 # cost-tensor construction
 # ---------------------------------------------------------------------------
+
+
+def placement_cost_tensor(tensor, model, kernel: str) -> np.ndarray:
+    """The ``(D, W, m)`` placement cost tensor, built by ``kernel``."""
+    if kernel == "python":
+        return placement_cost_tensor_python(tensor, model)
+    return model.all_placement_costs(tensor)
 
 
 def placement_cost_tensor_python(tensor, model) -> np.ndarray:
@@ -158,6 +169,47 @@ def hold_position_numpy(centers: np.ndarray, referenced: np.ndarray) -> None:
     centers[:] = centers[np.arange(n_data)[:, None], source]
 
 
+def lomcds_walk_python(
+    costs, referenced, order, tracker, masks=None, evictions=None
+):
+    """Scalar LOMCDS capacity walk: one processor-list scan per cell.
+
+    Data are taken in ``order`` and claim one slot per window.  Window 0
+    and every referenced window take the first free processor on the
+    datum's list; an idle window holds the previous center if its slot is
+    free, and otherwise is an eviction that walks the list after all.
+    ``masks`` (if given) receives each datum's per-window availability,
+    ``evictions`` the ``(datum, window)`` of every eviction.
+
+    Returns ``(centers, idle_holds, idle_evictions)``.
+    """
+    n_data, n_windows, _ = costs.shape
+    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    idle_holds = idle_evictions = 0
+    for d in order:
+        prev: int | None = None
+        for w in range(n_windows):
+            available = tracker.available_in_window(w)
+            if masks is not None:
+                masks[d, w] = available
+            if referenced[d, w] or prev is None:
+                proc = first_available(costs[d, w], available)
+            elif available[prev]:
+                proc = prev  # idle window: stay put if there is room
+                idle_holds += 1
+            else:
+                # eviction: the held slot was claimed by a higher-priority
+                # datum, so the idle datum walks its processor list after all
+                proc = first_available(costs[d, w], available)
+                idle_evictions += 1
+                if evictions is not None:
+                    evictions.append((d, w))
+            tracker.claim(proc, w)
+            centers[d, w] = proc
+            prev = proc
+    return centers, idle_holds, idle_evictions
+
+
 # ---------------------------------------------------------------------------
 # GOMCDS: scalar shortest-path DP over the cost graph
 # ---------------------------------------------------------------------------
@@ -182,8 +234,6 @@ def shortest_center_path_python(
     CapacityError
         If no admissible path exists under the memory constraint.
     """
-    from ..mem import CapacityError
-
     n_windows, n_procs = window_costs.shape
     inf = float("inf")
     costs = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem import CapacityPlan, OccupancyTracker, first_available
+from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
@@ -20,12 +20,71 @@ from .kernels import (
     hold_position_numpy,
     hold_position_python,
     local_argmin_python,
-    placement_cost_tensor_python,
+    lomcds_walk_python,
+    placement_cost_tensor,
     resolve_kernel,
 )
 from .schedule import Schedule
 
 __all__ = ["lomcds"]
+
+
+def _capacity_walk(
+    costs, referenced, order, tracker, masks=None, evictions=None
+):
+    """:func:`~repro.core.kernels.lomcds_walk_python`, one step per datum.
+
+    A datum claims one cell per window, so its own claims never change
+    its availability in any other window: one availability snapshot per
+    datum serves every window (and is its provenance mask).  One stable
+    argsort + gather picks the first free processor on each window's
+    list; idle windows forward-fill the last chosen center.  Only from
+    the first idle window whose held slot is taken (an eviction) does the
+    datum fall back to the scalar window-by-window rule.  Same arguments
+    and return value as the scalar walk, bit-identical results.
+    """
+    n_data, n_windows, _ = costs.shape
+    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    windows = np.arange(n_windows)
+    # window 0 and referenced windows choose from the processor list;
+    # every other window holds the center chosen last
+    chooses = referenced.copy()
+    chooses[:, 0] = True
+    source = np.maximum.accumulate(np.where(chooses, windows, 0), axis=1)
+    idle_holds = idle_evictions = 0
+    for d in order:
+        available = tracker.available_mask()
+        if masks is not None:
+            masks[d] = available
+        ranked = np.argsort(costs[d], axis=1, kind="stable")
+        free = available[windows[:, None], ranked]
+        pos = free.argmax(axis=1)  # first free slot on each window's list
+        if not free[windows, pos].all():
+            raise CapacityError("no processor has a free slot for this datum")
+        first = ranked[windows, pos]
+        row = first[source[d]]
+        idle = ~chooses[d]
+        evicted = idle & ~available[windows, row]
+        if not evicted.any():
+            idle_holds += int(idle.sum())
+        else:
+            start = int(evicted.argmax())
+            idle_holds += int(idle[:start].sum())
+            prev = row[start - 1]
+            for w in range(start, n_windows):
+                if chooses[d, w]:
+                    prev = first[w]
+                elif available[w, prev]:
+                    idle_holds += 1
+                else:
+                    prev = first[w]
+                    idle_evictions += 1
+                    if evictions is not None:
+                        evictions.append((d, w))
+                row[w] = prev
+        tracker.claim_path(row)
+        centers[d] = row
+    return centers, idle_holds, idle_evictions
 
 
 def lomcds(
@@ -58,10 +117,7 @@ def lomcds(
         kernel=kernel,
     ):
         with obs.span("lomcds.cost_tensor"):
-            if kernel == "python":
-                costs = placement_cost_tensor_python(tensor, model)
-            else:
-                costs = model.all_placement_costs(tensor)  # (D, W, m)
+            costs = placement_cost_tensor(tensor, model, kernel)
         referenced = tensor.counts.sum(axis=2) > 0  # (D, W)
 
         record = obs.provenance.recording
@@ -84,38 +140,19 @@ def lomcds(
 
         capacity.check_feasible(n_data)
         tracker = OccupancyTracker(capacity, n_windows=n_windows)
-        centers = np.empty((n_data, n_windows), dtype=np.int64)
         masks = (
             np.zeros((n_data, n_windows, model.n_procs), dtype=bool)
             if record
             else None
         )
         evictions: list[tuple[int, int]] | None = [] if record else None
-        with obs.span("lomcds.capacity_walk") as walk:
-            idle_holds = idle_evictions = 0
-            for d in tensor.data_priority_order():
-                prev: int | None = None
-                for w in range(n_windows):
-                    available = tracker.available_in_window(w)
-                    if masks is not None:
-                        masks[d, w] = available
-                    if referenced[d, w] or prev is None:
-                        proc = first_available(costs[d, w], available)
-                    elif available[prev]:
-                        proc = prev  # idle window: stay put if there is room
-                        idle_holds += 1
-                    else:
-                        # eviction: the held slot was claimed by a
-                        # higher-priority datum, so the idle datum walks
-                        # its processor list after all
-                        proc = first_available(costs[d, w], available)
-                        idle_evictions += 1
-                        if evictions is not None:
-                            evictions.append((d, w))
-                    tracker.claim(proc, w)
-                    centers[d, w] = proc
-                    prev = proc
-            walk.set(idle_holds=idle_holds, idle_evictions=idle_evictions)
+        walk = lomcds_walk_python if kernel == "python" else _capacity_walk
+        with obs.span("lomcds.capacity_walk") as span:
+            centers, idle_holds, idle_evictions = walk(
+                costs, referenced, tensor.data_priority_order(), tracker,
+                masks, evictions,
+            )
+            span.set(idle_holds=idle_holds, idle_evictions=idle_evictions)
             obs.count("lomcds.idle_holds", idle_holds)
             obs.count("lomcds.idle_evictions", idle_evictions)
         if record:

@@ -26,7 +26,8 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _certificate, _walk_paths, shortest_center_path
+from .gomcds import _certificate, _path_walk
+from .kernels import placement_cost_tensor, resolve_kernel
 from .schedule import Schedule
 
 __all__ = [
@@ -55,6 +56,7 @@ def reschedule_around_faults(
     capacity: CapacityPlan | None = None,
     *,
     certify: bool = False,
+    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """GOMCDS-style scheduling that never places data on a failed node.
@@ -71,6 +73,9 @@ def reschedule_around_faults(
         at replay time.
     capacity:
         Optional memory constraint, enforced jointly with liveness.
+    kernel:
+        ``"numpy"`` (default, the batched speculative walk) or
+        ``"python"`` (the scalar per-datum oracle); bit-identical.
 
     Returns
     -------
@@ -85,6 +90,7 @@ def reschedule_around_faults(
     """
     plan.validate_for(model.topology, tensor.n_windows)
     obs = resolve(instrument)
+    kernel = resolve_kernel(kernel)
     n_data, n_windows = tensor.n_data, tensor.n_windows
     n_procs = model.n_procs
     with obs.span(
@@ -111,7 +117,7 @@ def reschedule_around_faults(
         )
 
         with obs.span("reschedule.cost_tensor"):
-            costs = model.all_placement_costs(tensor)  # (D, W, m)
+            costs = placement_cost_tensor(tensor, model, kernel)  # (D, W, m)
 
         tracker = None
         if capacity is not None:
@@ -120,8 +126,8 @@ def reschedule_around_faults(
 
         record = obs.provenance.recording
         with obs.span("reschedule.capacity_walk"):
-            centers, potentials, masks = _walk_paths(
-                shortest_center_path, costs, model.distances.astype(np.float64),
+            centers, potentials, masks = _path_walk(kernel, obs)(
+                costs, model.distances.astype(np.float64),
                 model.volume_vector(n_data), tensor.data_priority_order(),
                 base=alive, tracker=tracker, certify=certify,
                 record_masks=certify or record,
@@ -132,7 +138,7 @@ def reschedule_around_faults(
         if record:
             record_decisions(
                 obs, costs=costs, centers=centers, model=model,
-                method="GOMCDS+faults", masks=masks,
+                method="GOMCDS+faults", kernel=kernel, masks=masks,
                 meta={"n_node_faults": len(plan.node_faults)},
             )
         return Schedule(
@@ -153,6 +159,7 @@ def reschedule_from_window(
     capacity: CapacityPlan | None = None,
     *,
     certify: bool = False,
+    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """Re-plan only the windows ``from_window ..`` against a degraded array.
@@ -199,6 +206,7 @@ def reschedule_from_window(
         )
 
     obs = resolve(instrument)
+    kernel = resolve_kernel(kernel)
     n_suffix = n_windows - from_window
     with obs.span(
         "scheduler.reschedule_from_window",
@@ -223,7 +231,7 @@ def reschedule_from_window(
         dist = model.distances.astype(np.float64)
         vols = model.volume_vector(n_data)
         with obs.span("reschedule.cost_tensor"):
-            full_costs = model.all_placement_costs(tensor)
+            full_costs = placement_cost_tensor(tensor, model, kernel)
             costs = full_costs[:, from_window:, :].copy()
             # pin the suffix to the rollback residency: entering window
             # ``from_window`` at center c costs the move from where the
@@ -237,10 +245,10 @@ def reschedule_from_window(
 
         record = obs.provenance.recording
         with obs.span("reschedule.capacity_walk"):
-            suffix, potentials, masks = _walk_paths(
-                shortest_center_path, costs, dist, vols,
-                tensor.data_priority_order(), base=alive, tracker=tracker,
-                certify=certify, record_masks=certify or record,
+            suffix, potentials, masks = _path_walk(kernel, obs)(
+                costs, dist, vols, tensor.data_priority_order(), base=alive,
+                tracker=tracker, certify=certify,
+                record_masks=certify or record,
             )
         centers = schedule.centers.copy()
         centers[:, from_window:] = suffix
@@ -261,7 +269,7 @@ def reschedule_from_window(
             prov_masks[:, from_window:] = masks
             record_decisions(
                 obs, costs=full_costs, centers=centers, model=model,
-                method="GOMCDS+recovery", masks=prov_masks,
+                method="GOMCDS+recovery", kernel=kernel, masks=prov_masks,
                 meta={
                     "from_window": from_window,
                     "n_node_faults": len(plan.node_faults),

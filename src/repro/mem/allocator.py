@@ -29,6 +29,7 @@ class OccupancyTracker:
         self.plan = plan
         self.n_windows = n_windows
         self._occupancy = np.zeros((n_windows, plan.n_procs), dtype=np.int64)
+        self._rows = np.arange(n_windows)
 
     @property
     def n_procs(self) -> int:
@@ -88,20 +89,25 @@ class OccupancyTracker:
         self._occupancy[first : last + 1, proc] += 1
 
     def claim_path(self, centers: np.ndarray) -> None:
-        """Consume one slot per window along a per-window center path."""
+        """Consume one slot per window along a per-window center path.
+
+        Only the path's ``n_windows`` cells are checked; on a full cell
+        nothing is claimed and :class:`CapacityError` names the first
+        full ``(window, processor)``.
+        """
         centers = np.asarray(centers)
         if centers.shape != (self.n_windows,):
             raise ValueError("path must assign one center per window")
-        mask = self.available_mask()
-        rows = np.arange(self.n_windows)
-        if not mask[rows, centers].all():
-            bad = int(rows[~mask[rows, centers]][0])
+        rows = self._rows
+        full = self._occupancy[rows, centers] >= self.plan.capacities[centers]
+        if full.any():
+            bad = int(full.argmax())
             raise CapacityError(
                 f"processor {int(centers[bad])} full in window {bad}",
                 window=bad,
                 processor=int(centers[bad]),
             )
-        np.add.at(self._occupancy, (rows, centers), 1)
+        self._occupancy[rows, centers] += 1  # one cell per row: no repeats
 
 
 def first_available(cost_row: np.ndarray, available: np.ndarray) -> int:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.diagnostics import SCH002
 from repro.mem import CapacityError, CapacityPlan, OccupancyTracker, first_available
 
 
@@ -50,6 +51,16 @@ class TestOccupancyTracker:
             tracker.claim_path(np.array([0, 0, 1, 0]))
         # failed claim must not partially commit
         assert tracker.occupancy[0, 0] == 0
+
+    def test_claim_path_error_names_first_full_cell(self, tracker):
+        for proc, window in ((2, 3), (2, 3), (1, 1), (1, 1)):
+            tracker.claim(proc, window)
+        with pytest.raises(CapacityError) as err:
+            tracker.claim_path(np.array([0, 1, 0, 2]))
+        assert err.value.code == SCH002
+        assert (err.value.window, err.value.processor) == (1, 1)
+        assert "processor 1 full in window 1" in str(err.value)
+        assert tracker.occupancy[[0, 2], 0].tolist() == [0, 0]
 
     def test_claim_path_shape_checked(self, tracker):
         with pytest.raises(ValueError):
