@@ -2,9 +2,9 @@
 
 Online recovery (:mod:`repro.faults.online`) makes hard promises —
 checkpoints restore bit-identically, rollbacks never rewind past one
-interval, a fault-free checkpointed run is indistinguishable from the
-monolithic replay, and the ``replicate`` mode loses no datum instance in
-a run the controller fully recovered.  A unit test checks each promise
+interval, a fault-free checkpointed run is indistinguishable from
+:func:`~repro.sim.replay_schedule`, and the ``replicate`` mode loses
+no datum instance in a run the controller fully recovered.  A unit test checks each promise
 on one hand-built plan; this harness checks all of them on *seeded
 storms*: every scenario samples a fresh :meth:`FaultPlan.random` (capped
 by ``max_down_fraction`` so the array stays survivable), drives a
@@ -205,7 +205,7 @@ def _check_invariants(
             )
         )
 
-    # RCV003: a fault-free checkpointed run matches the monolithic replay
+    # RCV003: a fault-free checkpointed run matches replay_schedule
     if baseline_dict is not None and sim.to_dict() != baseline_dict:
         violations.append(
             Diagnostic(

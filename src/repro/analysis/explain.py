@@ -36,6 +36,7 @@ from ..workloads import BENCHMARK_NAMES, benchmark as make_benchmark
 
 __all__ = [
     "ExplainResult",
+    "explain_solve",
     "explain_workload",
     "explain_records",
     "render_explain_human",
@@ -70,6 +71,62 @@ class ExplainResult:
         )
 
 
+def explain_solve(
+    bench: int = 1,
+    size: int = 16,
+    mesh: tuple[int, int] = (4, 4),
+    seed: int = 1998,
+    scheduler: str = "GOMCDS",
+    kernel: str = "numpy",
+    capacity_multiplier: float = 2.0,
+    fail_node: int | None = None,
+    fail_window: int = 0,
+):
+    """The solve ``repro explain``'s flags name, ready to run.
+
+    Returns ``(solve, tensor, model, label, method)`` where
+    ``solve(instrument)`` runs the scheduler on the benchmark instance.
+    ``fail_node`` switches to the fault-aware rescheduler
+    (:func:`repro.core.reschedule.reschedule_around_faults`) with that
+    processor down from window ``fail_window`` on.  Both
+    :func:`explain_workload` and :func:`measure_overhead` run this call,
+    so the overhead gate times exactly the solve being explained.
+    """
+    if bench not in BENCHMARK_NAMES:
+        known = ", ".join(str(b) for b in sorted(BENCHMARK_NAMES))
+        raise ValueError(f"unknown benchmark {bench!r}; known: {known}")
+    topology = Mesh2D(*mesh)
+    workload = make_benchmark(bench, size, topology, seed=seed)
+    tensor = workload.reference_tensor()
+    model = CostModel(workload.topology)
+    capacity = CapacityPlan.paper_rule(
+        workload.n_data, workload.topology.n_procs, capacity_multiplier
+    )
+    name = f"bench{bench}:{BENCHMARK_NAMES[bench]}"
+
+    if fail_node is not None:
+        plan = FaultPlan(
+            node_faults=(NodeFault(pid=fail_node, start=fail_window),)
+        )
+
+        def solve(instrument):
+            return reschedule_around_faults(
+                tensor, model, plan, capacity, kernel=kernel,
+                instrument=instrument,
+            )
+
+        label = f"{name} (node {fail_node} down from w{fail_window})"
+        return solve, tensor, model, label, "GOMCDS+faults"
+
+    spec = scheduler_spec(scheduler)
+    options = {"kernel": kernel} if "kernel" in spec.supported_kwargs else {}
+
+    def solve(instrument):
+        return spec(tensor, model, capacity, instrument=instrument, **options)
+
+    return solve, tensor, model, name, spec.name
+
+
 def explain_workload(
     bench: int = 1,
     size: int = 16,
@@ -84,41 +141,17 @@ def explain_workload(
 ) -> ExplainResult:
     """Solve one benchmark with provenance on and audit the log.
 
-    ``fail_node`` switches to the fault-aware rescheduler
-    (:func:`repro.core.reschedule.reschedule_around_faults`) with that
-    processor down from window ``fail_window`` on — the natural "A"
-    and "B" inputs for ``repro explain --diff``.
+    The instance and solve come from :func:`explain_solve` (same
+    arguments); a faulted reschedule and its fault-free solve are the
+    natural "A" and "B" inputs for ``repro explain --diff``.
     """
-    if bench not in BENCHMARK_NAMES:
-        known = ", ".join(str(b) for b in sorted(BENCHMARK_NAMES))
-        raise ValueError(f"unknown benchmark {bench!r}; known: {known}")
-    topology = Mesh2D(*mesh)
-    workload = make_benchmark(bench, size, topology, seed=seed)
-    tensor = workload.reference_tensor()
-    model = CostModel(workload.topology)
-    capacity = CapacityPlan.paper_rule(
-        workload.n_data, workload.topology.n_procs, capacity_multiplier
+    solve, tensor, model, label, method = explain_solve(
+        bench=bench, size=size, mesh=mesh, seed=seed, scheduler=scheduler,
+        kernel=kernel, capacity_multiplier=capacity_multiplier,
+        fail_node=fail_node, fail_window=fail_window,
     )
     instr = Instrumentation.started(provenance=True)
-    name = f"bench{bench}:{BENCHMARK_NAMES[bench]}"
-
-    if fail_node is not None:
-        plan = FaultPlan(
-            node_faults=(NodeFault(pid=fail_node, start=fail_window),)
-        )
-        solved = reschedule_around_faults(
-            tensor, model, plan, capacity, instrument=instr
-        )
-        label = f"{name} (node {fail_node} down from w{fail_window})"
-        method = "GOMCDS+faults"
-    else:
-        spec = scheduler_spec(scheduler)
-        options = {}
-        if "kernel" in spec.supported_kwargs:
-            options["kernel"] = kernel
-        solved = spec(tensor, model, capacity, instrument=instr, **options)
-        label = name
-        method = spec.name
+    solved = solve(instr)
 
     if not instr.provenance.logs:  # pragma: no cover - recording contract
         raise RuntimeError(f"{method} recorded no decision log under provenance")
@@ -346,16 +379,9 @@ def render_explain_diff(diff: dict, top: int | None = 20) -> str:
 # ---------------------------------------------------------------------------
 
 
-def measure_overhead(
-    bench: int = 1,
-    size: int = 16,
-    mesh: tuple[int, int] = (4, 4),
-    seed: int = 1998,
-    scheduler: str = "GOMCDS",
-    repeats: int = 5,
-    inner: int = 3,
-) -> dict:
-    """Median solve time, dark vs recording-with-provenance-off.
+def measure_overhead(solve, repeats: int = 5, inner: int = 3) -> dict:
+    """Median time of ``solve(instrument)``, dark vs recording-with-
+    provenance-off (``solve`` as returned by :func:`explain_solve`).
 
     The contract under test: a session that records spans but did *not*
     opt into provenance pays only one attribute read per solve for the
@@ -363,22 +389,14 @@ def measure_overhead(
     solves; medians over ``repeats`` keep one noisy measurement from
     failing a CI gate.
     """
-    topology = Mesh2D(*mesh)
-    workload = make_benchmark(bench, size, topology, seed=seed)
-    tensor = workload.reference_tensor()
-    model = CostModel(workload.topology)
-    capacity = CapacityPlan.paper_rule(
-        workload.n_data, workload.topology.n_procs, 2.0
-    )
-    spec = scheduler_spec(scheduler)
 
     def timed(instrument) -> float:
         start = perf_counter()
         for _ in range(inner):
-            spec(tensor, model, capacity, instrument=instrument)
+            solve(instrument)
         return (perf_counter() - start) / inner
 
-    spec(tensor, model, capacity)  # warm caches before timing
+    solve(None)  # warm caches before timing
     dark, recorded = [], []
     for _ in range(repeats):
         dark.append(timed(None))
@@ -387,8 +405,6 @@ def measure_overhead(
     recorded_us = median(recorded) * 1e6
     overhead = (recorded_us - dark_us) / dark_us * 100.0 if dark_us else 0.0
     return {
-        "benchmark": bench,
-        "scheduler": spec.name,
         "repeats": repeats,
         "dark_median_us": dark_us,
         "recorded_median_us": recorded_us,

@@ -250,18 +250,9 @@ def run_bench_suite(
             ),
             repeats,
         )
-        traced_s, traced_med = _time_repeats(
-            lambda w=workload, s=last, c=capacity: replay_schedule(
-                w.trace, s, model, capacity=c,
-                instrument=Instrumentation.started(),
-            ),
-            repeats,
-        )
         probe_s, probe_med = _noop_probe_seconds(tensor.n_windows, repeats)
         row["replay_s"] = replay_s
         row["replay_median_s"] = replay_med
-        row["replay_traced_s"] = traced_s
-        row["replay_traced_median_s"] = traced_med
         row["noop_probe_s"] = probe_s
         row["noop_probe_median_s"] = probe_med
         row["noop_overhead_pct"] = 100.0 * probe_med / replay_med

@@ -1015,6 +1015,7 @@ def _run_explain(args) -> int:
     from .analysis import (
         diff_explain_records,
         explain_records,
+        explain_solve,
         explain_workload,
         load_explain_records,
         measure_overhead,
@@ -1036,15 +1037,24 @@ def _run_explain(args) -> int:
         _write_or_print(text, args.output)
         return EXIT_OK
 
+    instance = dict(
+        bench=args.bench,
+        size=args.size,
+        mesh=tuple(args.mesh),
+        seed=args.seed,
+        scheduler=args.scheduler.upper(),
+        kernel=args.kernel,
+        capacity_multiplier=args.capacity_multiplier,
+        fail_node=args.fail_node,
+        fail_window=args.fail_window,
+    )
     if args.max_overhead_pct is not None:
-        report = measure_overhead(
-            bench=args.bench,
-            size=args.size,
-            mesh=tuple(args.mesh),
-            seed=args.seed,
-            scheduler=args.scheduler.upper(),
-            repeats=args.repeats,
-        )
+        solve, _, _, label, method = explain_solve(**instance)
+        report = {
+            "workload": label,
+            "scheduler": method,
+            **measure_overhead(solve, repeats=args.repeats),
+        }
         for key, value in report.items():
             print(f"  {key}: {_fmt(value)}")
         if report["overhead_pct"] > args.max_overhead_pct:
@@ -1056,17 +1066,7 @@ def _run_explain(args) -> int:
             return EXIT_CONFIG_ERROR
         return EXIT_OK
 
-    result = explain_workload(
-        bench=args.bench,
-        size=args.size,
-        mesh=tuple(args.mesh),
-        seed=args.seed,
-        scheduler=args.scheduler.upper(),
-        kernel=args.kernel,
-        capacity_multiplier=args.capacity_multiplier,
-        fail_node=args.fail_node,
-        fail_window=args.fail_window,
-    )
+    result = explain_workload(**instance)
     data = None if args.datum is None else [args.datum]
     windows = None if args.window is None else [args.window]
     if args.fmt == "human":

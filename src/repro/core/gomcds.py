@@ -54,6 +54,8 @@ def shortest_center_path(
 ):
     """Optimal center-per-window path for one datum.
 
+    A one-row solve of the batched DP (:func:`_all_paths_vectorized`).
+
     Parameters
     ----------
     window_costs:
@@ -80,37 +82,18 @@ def shortest_center_path(
     CapacityError
         If some window has no admissible processor at all.
     """
-    n_windows, n_procs = window_costs.shape
-    costs = window_costs.astype(np.float64, copy=True)
-    if allowed is not None:
-        costs[~allowed] = _INF
-    back = np.zeros((n_windows, n_procs), dtype=np.int64)
-    potentials = (
-        np.empty((n_windows, n_procs), dtype=np.float64)
-        if return_potentials
-        else None
+    paths, totals, potentials = _all_paths_vectorized(
+        np.asarray(window_costs, dtype=np.float64)[None],
+        move_costs,
+        np.ones(1),
+        masks=allowed,
+        return_potentials=return_potentials,
     )
-    f = costs[0]
-    if potentials is not None:
-        potentials[0] = f
-    for w in range(1, n_windows):
-        # transition[j, k] = f[j] + move_costs[j, k]
-        transition = f[:, None] + move_costs
-        back[w] = transition.argmin(axis=0)
-        f = transition.min(axis=0) + costs[w]
-        if potentials is not None:
-            potentials[w] = f
-    end = int(f.argmin())
-    total = float(f[end])
-    if not np.isfinite(total):
+    if not np.isfinite(totals[0]):
         raise CapacityError(_NO_PATH)
-    path = np.empty(n_windows, dtype=np.int64)
-    path[-1] = end
-    for w in range(n_windows - 1, 0, -1):
-        path[w - 1] = back[w, path[w]]
     if return_potentials:
-        return path, total, potentials
-    return path, total
+        return paths[0], float(totals[0]), potentials[0]
+    return paths[0], float(totals[0])
 
 
 def _all_paths_vectorized(
@@ -167,9 +150,10 @@ def _sweep_block(costs, dist, vols, *, rows, masks, paths, totals, potentials):
 
     The sweep runs in a ``(datum, to, from)`` layout so each min-plus
     step reduces over the contiguous last axis.  Every cell is the same
-    one add and one min as :func:`shortest_center_path`, with the same
-    lowest-index tie-break, so each row is bit-identical to a per-datum
-    solve under the same mask.
+    one add and one min as the scalar kernel
+    (:func:`~repro.core.kernels.shortest_center_path_python`), with the
+    same lowest-index tie-break, so each row is bit-identical to a
+    per-datum solve under the same mask.
     """
     n_windows, n_procs = costs.shape[1:]
     move = vols[rows][:, None, None] * dist.T[None]  # (k, to, from)

@@ -162,7 +162,7 @@ RCV001 = "RCV001"
 # state did not reproduce the checkpoint digest bit for bit.
 RCV002 = "RCV002"
 # Fault-free drift: a checkpointed replay of a healthy run diverged from
-# the monolithic fault-free replay (must be bit-identical).
+# replay_schedule's fault-free replay (must be bit-identical).
 RCV003 = "RCV003"
 # Rollback overshoot: a recovery rewound further than one checkpoint
 # interval (the controller's bounded-rollback guarantee).

@@ -608,7 +608,7 @@ class RecoveryController:
         In ``strict`` mode any un-recoverable condition raises
         :class:`RecoveryError` (carrying the partial report) instead.
         """
-        from ..sim.checkpoint import ReplayCursor
+        from ..sim import ReplayCursor
 
         policy = self.policy
         t0 = time.perf_counter()

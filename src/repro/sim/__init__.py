@@ -3,8 +3,7 @@
 from .machine import PIMArray, ResidencyError
 from .network import NetworkReport, simulate_schedule_network, simulate_window_traffic
 from .messages import Message, MessageKind
-from .replay import replay_schedule
-from .checkpoint import Checkpoint, ReplayCursor
+from .replay import Checkpoint, ReplayCursor, replay_schedule
 from .stats import SimReport
 from .timing import TimingModel, TimingReport, estimate_execution_time
 

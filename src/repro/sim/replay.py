@@ -1,7 +1,7 @@
-"""Replay a schedule over a trace, hop by hop.
+"""Replay a schedule over a trace, hop by hop, one window at a time.
 
 The analytic evaluator (:mod:`repro.core.evaluate`) computes the paper's
-objective from the distance matrix; this driver *executes* the schedule
+objective from the distance matrix; this module *executes* the schedule
 on a :class:`~repro.sim.machine.PIMArray`: data are loaded at their
 initial centers, relocated through the x-y router at every window
 boundary, and every reference is serviced by a fetch message routed from
@@ -24,9 +24,26 @@ dropped fetches are retried with exponential backoff up to a retry
 budget, and every reference is accounted as delivered, dropped or
 unreachable in the :class:`~repro.sim.SimReport`.  An *empty* plan takes
 the exact fault-free code path, bit for bit.
+
+One loop executes every window: :meth:`ReplayCursor.step`.  It serves a
+healthy window vectorized and a faulted window event by event, and it
+is all :func:`replay_schedule` runs — a cursor stepped to completion
+inside the replay's spans.  The cursor also checkpoints, which is what
+online recovery (:mod:`repro.faults.online`) builds on: ``snapshot()``
+captures machine residency and every report accumulator as an immutable
+:class:`Checkpoint` stamped with a sha256 content digest, ``restore()``
+rewinds to one (a restore followed by a snapshot reproduces the digest
+exactly), and ``rebind()`` swaps the schedule and/or fault plan mid-run.
+The cursor records no spans of its own: its callers own the
+observability story, and span emission never influences the report.
 """
 
 from __future__ import annotations
+
+import copy
+import hashlib
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +56,7 @@ from ..trace import Trace
 from .machine import PIMArray, ResidencyError
 from .stats import SimReport
 
-__all__ = ["replay_schedule"]
+__all__ = ["Checkpoint", "ReplayCursor", "replay_schedule"]
 
 
 def replay_schedule(
@@ -86,88 +103,292 @@ def replay_schedule(
     instrument:
         Optional :class:`~repro.obs.Instrumentation`; defaults to the
         active (usually no-op) handle.  Tracing is strictly read-only —
-        a fault-free replay is bit-identical with or without it.
+        a replay is bit-identical with or without it.
     """
-    windows = schedule.windows
-    if windows.n_steps != trace.n_steps:
-        raise ValueError("schedule windows do not span the trace")
-    if trace.n_data != schedule.n_data:
-        raise ValueError("schedule and trace disagree on n_data")
-    if trace.n_procs != model.n_procs:
-        raise ValueError("trace and cost model disagree on the array size")
-
     obs = resolve(instrument)
-    if faults is not None and not faults.is_empty:
-        return _replay_with_faults(
-            trace,
-            schedule,
-            model,
-            capacity,
-            track_links,
-            faults,
-            retry or RetryPolicy(),
-            evacuate,
-            obs,
-        )
-
-    machine = PIMArray(model.topology, capacity)
-    machine.load_initial(schedule.initial_placement())
-    router = XYRouter(model.topology) if track_links else None
     spatial, all_vols = _spatial_recorder(obs, schedule, model)
-    spatial_router = None
-    if spatial is not None:
-        spatial_router = router if router is not None else XYRouter(model.topology)
-    report = SimReport(
-        per_window_cost=np.zeros(windows.n_windows),
-        topology_shape=tuple(model.topology.shape),
+    cursor = ReplayCursor(
+        trace, schedule, model, capacity=capacity, faults=faults,
+        retry=retry, evacuate=evacuate, track_links=track_links,
+        spatial=spatial,
     )
-
-    event_windows = windows.assign(trace.steps)
-    order = np.argsort(event_windows, kind="stable")
-    boundaries = np.searchsorted(event_windows[order], np.arange(windows.n_windows + 1))
-
+    report = cursor.report
+    injector = cursor.injector
     with obs.span(
         "sim.replay",
-        n_windows=windows.n_windows,
+        n_windows=cursor.n_windows,
         n_steps=trace.n_steps,
         method=schedule.method,
-        faults=False,
+        faults=injector is not None,
     ):
-        for w in range(windows.n_windows):
+        while not cursor.done:
+            w = cursor.window
             with obs.span("sim.window", window=w) as window_span:
-                if w > 0:
-                    _relocate_for_window(
-                        machine, schedule, model, w, report, router,
-                        spatial, spatial_router,
-                    )
-                idx = order[boundaries[w] : boundaries[w + 1]]
-                n_local, hops = _serve_window_plain(
-                    machine, schedule, trace, model, w, idx, report,
-                    router, spatial, spatial_router, want_hops=obs.enabled,
-                )
+                local_before = report.n_local_fetches
+                delivered_before = report.n_delivered
+                hops = cursor.step()
                 if spatial is not None:
                     spatial.close_window(
-                        w, obs.tracer.now_us(), machine.locations(), all_vols
+                        w, obs.tracer.now_us(), cursor.machine.locations(),
+                        all_vols,
                     )
-                if obs.enabled:
+                if not obs.enabled:
+                    continue
+                fetches = int(len(cursor.window_events(w)))
+                cost = float(report.per_window_cost[w])
+                if injector is None:
                     obs.observe("sim.window_hops", hops)
-                    obs.observe(
-                        "sim.window_cost", float(report.per_window_cost[w])
-                    )
+                    obs.observe("sim.window_cost", cost)
                     window_span.set(
-                        fetches=int(len(idx)),
-                        local=n_local,
+                        fetches=fetches,
+                        local=report.n_local_fetches - local_before,
                         hops=hops,
-                        cost=float(report.per_window_cost[w]),
+                        cost=cost,
+                    )
+                else:
+                    delivered = report.n_delivered - delivered_before
+                    obs.observe("sim.window_cost", cost)
+                    obs.observe("sim.window_delivered", delivered)
+                    window_span.set(
+                        fetches=fetches,
+                        delivered=delivered,
+                        down_nodes=len(injector.down_nodes(w)),
+                        cost=cost,
                     )
         obs.count("sim.fetches", report.n_fetches)
-        obs.count("sim.local_fetches", report.n_local_fetches)
-        obs.count("sim.moves", report.n_moves)
-        obs.count("sim.movement_volume", report.movement_cost)
+        if injector is None:
+            obs.count("sim.local_fetches", report.n_local_fetches)
+            obs.count("sim.moves", report.n_moves)
+            obs.count("sim.movement_volume", report.movement_cost)
+        else:
+            obs.count("sim.moves", report.n_moves)
+            obs.count("faults.delivered", report.n_delivered)
+            obs.count("faults.retries", report.n_retries)
+            obs.count("faults.dropped", report.n_dropped)
+            obs.count("faults.unreachable", report.n_unreachable)
+            obs.count("faults.evacuated", report.n_evacuated)
+            obs.count("faults.lost", report.n_lost)
+            obs.count("faults.skipped_moves", report.n_skipped_moves)
     if spatial is not None:
         obs.spatial.add(spatial.finish())
-    report.n_delivered = report.n_fetches
-    return report
+    return cursor.finish()
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """Immutable snapshot of a replay at a window boundary.
+
+    ``window`` is the next window the restored cursor will execute; the
+    state is everything accumulated by windows ``0 .. window-1``.  The
+    ``digest`` is a content hash of residency + report, so rollback
+    fidelity is checkable without field-by-field comparison.
+    """
+
+    window: int
+    locations: np.ndarray
+    report: SimReport
+    digest: str
+
+    def to_dict(self) -> dict:
+        """Serializable record (diagnostic artifact, not a restore path)."""
+        return {
+            "kind": "checkpoint",
+            "window": self.window,
+            "locations": [int(p) for p in self.locations],
+            "digest": self.digest,
+            "report": self.report.to_dict(),
+        }
+
+
+def _state_digest(window: int, locations: np.ndarray, report: SimReport) -> str:
+    """Content hash of the complete replay state at a window boundary."""
+    h = hashlib.sha256()
+    h.update(str(window).encode())
+    h.update(np.ascontiguousarray(locations).tobytes())
+    h.update(json.dumps(report.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class ReplayCursor:
+    """Window-stepping replay of a schedule with snapshot/rollback.
+
+    Construction mirrors :func:`replay_schedule`'s signature; ``faults``
+    here is the plan the cursor *injects* (for online runs: the faults
+    discovered so far, not the full ground-truth plan).  An empty plan
+    takes the vectorized fault-free path; any non-empty plan takes the
+    degraded per-event path.  ``on_unreachable``/``on_stranded`` are the
+    degraded path's recovery hooks (see :func:`_execute_faulted_window`);
+    ``spatial`` is an optional :class:`~repro.obs.SpatialRecorder` every
+    executed transfer is charged to (the caller closes its windows).
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        schedule: Schedule,
+        model: CostModel,
+        capacity=None,
+        faults: FaultPlan | None = None,
+        retry: RetryPolicy | None = None,
+        evacuate: bool = True,
+        track_links: bool = False,
+        on_unreachable=None,
+        on_stranded=None,
+        spatial: SpatialRecorder | None = None,
+    ) -> None:
+        windows = schedule.windows
+        if windows.n_steps != trace.n_steps:
+            raise ValueError("schedule windows do not span the trace")
+        if trace.n_data != schedule.n_data:
+            raise ValueError("schedule and trace disagree on n_data")
+        if trace.n_procs != model.n_procs:
+            raise ValueError("trace and cost model disagree on the array size")
+        self.trace = trace
+        self.model = model
+        self.capacity = capacity
+        self.retry = retry or RetryPolicy()
+        self.evacuate = evacuate
+        self.track_links = track_links
+        self.on_unreachable = on_unreachable
+        self.on_stranded = on_stranded
+        self.spatial = spatial
+        self.n_windows = windows.n_windows
+
+        self.machine = PIMArray(model.topology, capacity)
+        self.machine.load_initial(schedule.initial_placement())
+        self.report = SimReport(
+            per_window_cost=np.zeros(self.n_windows),
+            topology_shape=tuple(model.topology.shape),
+        )
+        event_windows = windows.assign(trace.steps)
+        self._order = np.argsort(event_windows, kind="stable")
+        self._boundaries = np.searchsorted(
+            event_windows[self._order], np.arange(self.n_windows + 1)
+        )
+        self.window = 0
+        self._router = (
+            XYRouter(model.topology)
+            if track_links or spatial is not None
+            else None
+        )
+        self.schedule = schedule
+        self.faults = FaultPlan()
+        self.injector: FaultInjector | None = None
+        self.rebind(schedule=schedule, faults=faults)
+
+    # -- binding -------------------------------------------------------------
+
+    def rebind(
+        self,
+        schedule: Schedule | None = None,
+        faults: FaultPlan | None = None,
+    ) -> None:
+        """Swap the schedule and/or injected fault plan mid-run.
+
+        The new schedule must cover the same trace/window horizon; past
+        windows are history and are never re-validated.  Passing a fault
+        plan replaces the injected set wholesale (the controller passes
+        the full known-so-far plan each time, so window epochs stay
+        consistent with ``newly_down`` accounting).
+        """
+        if schedule is not None:
+            if schedule.n_windows != self.n_windows:
+                raise ValueError("rebound schedule changes the window horizon")
+            if schedule.n_data != self.trace.n_data:
+                raise ValueError("rebound schedule changes the datum universe")
+            self.schedule = schedule
+        if faults is not None:
+            self.faults = faults
+            self.injector = (
+                None
+                if faults.is_empty
+                else FaultInjector(faults, self.model.topology, self.n_windows)
+            )
+
+    # -- execution -----------------------------------------------------------
+
+    @property
+    def done(self) -> bool:
+        return self.window >= self.n_windows
+
+    def window_events(self, w: int) -> np.ndarray:
+        """Trace-event indices served by window ``w``."""
+        return self._order[self._boundaries[w] : self._boundaries[w + 1]]
+
+    def step(self) -> float:
+        """Execute the next window and advance the cursor.
+
+        Returns the window's unweighted fetch hops on a healthy array
+        (``0.0`` under faults, where fetches are served one by one).
+        """
+        if self.done:
+            raise RuntimeError("replay cursor already ran past the last window")
+        w = self.window
+        idx = self.window_events(w)
+        hops = 0.0
+        if self.injector is None:
+            if w > 0:
+                _relocate_for_window(
+                    self.machine, self.schedule, self.model, w, self.report,
+                    self._router, self.track_links, self.spatial,
+                )
+            hops = _serve_window_plain(
+                self.machine, self.schedule, self.trace, self.model, w, idx,
+                self.report, self._router, self.track_links, self.spatial,
+            )
+            # a healthy array delivers every fetch it serves
+            self.report.n_delivered += int(len(idx))
+        else:
+            _execute_faulted_window(
+                self.machine, self.schedule, self.trace, self.model, w, idx,
+                self.report, self.injector, self.retry, self.evacuate,
+                self.track_links, self.spatial,
+                on_unreachable=self.on_unreachable,
+                on_stranded=self.on_stranded,
+            )
+        self.window = w + 1
+        return hops
+
+    def run(self) -> SimReport:
+        """Step through every remaining window and finish."""
+        while not self.done:
+            self.step()
+        return self.finish()
+
+    def finish(self) -> SimReport:
+        """The completed report (call after the last window)."""
+        if not self.done:
+            raise RuntimeError(
+                f"replay incomplete: {self.window}/{self.n_windows} windows"
+            )
+        return self.report
+
+    # -- checkpointing -------------------------------------------------------
+
+    def snapshot(self) -> Checkpoint:
+        """Capture the full replay state at the current window boundary."""
+        locations = self.machine.locations()
+        report = copy.deepcopy(self.report)
+        return Checkpoint(
+            window=self.window,
+            locations=locations,
+            report=report,
+            digest=_state_digest(self.window, locations, self.report),
+        )
+
+    def restore(self, checkpoint: Checkpoint) -> None:
+        """Rewind to ``checkpoint``: residency, report and window index.
+
+        The checkpoint's own arrays stay untouched (copies are installed),
+        so one checkpoint can be restored any number of times.
+        """
+        self.machine.load_initial(checkpoint.locations)
+        self.report = copy.deepcopy(checkpoint.report)
+        self.window = checkpoint.window
+
+    def state_digest(self) -> str:
+        """Digest of the live state; equals ``snapshot().digest``."""
+        return _state_digest(self.window, self.machine.locations(), self.report)
 
 
 def _spatial_recorder(obs, schedule, model, label: str | None = None):
@@ -192,20 +413,15 @@ def _serve_window_plain(
     w: int,
     idx: np.ndarray,
     report: SimReport,
-    router: XYRouter | None = None,
-    spatial: SpatialRecorder | None = None,
-    spatial_router: XYRouter | None = None,
-    want_hops: bool = False,
-) -> tuple[int, float]:
+    router: XYRouter | None,
+    track_links: bool,
+    spatial: SpatialRecorder | None,
+) -> float:
     """Serve window ``w``'s fetches on a healthy array (vectorized).
 
-    The single source of truth for fault-free fetch accounting: both
-    :func:`replay_schedule` and the checkpointing
-    :class:`~repro.sim.checkpoint.ReplayCursor` call it, which is what
-    makes a checkpointed fault-free replay bit-identical to the plain
-    path.  Returns ``(n_local, hops)``; ``hops`` is only computed when
-    ``want_hops`` (it exists for the observability probes and costs an
-    extra vector pass).
+    The single source of truth for fault-free fetch accounting.  Returns
+    the window's unweighted fetch hops.  ``router`` routes each fetch
+    when ``track_links`` or ``spatial`` asks for its links.
     """
     dist = model.distances
     procs = trace.procs[idx]
@@ -230,23 +446,21 @@ def _serve_window_plain(
         if model.volumes is None
         else np.asarray(model.volumes)[data]
     )
-    hop_costs = dist[centers, procs] * counts * vols
+    hops = dist[centers, procs] * counts
+    hop_costs = hops * vols
     report.reference_cost += float(hop_costs.sum())
     report.per_window_cost[w] += float(hop_costs.sum())
     report.n_fetches += int(len(idx))
-    n_local = int((centers == procs).sum())
-    report.n_local_fetches += n_local
-    if router is not None or spatial is not None:
-        link_router = router if router is not None else spatial_router
+    report.n_local_fetches += int((centers == procs).sum())
+    if track_links or spatial is not None:
         for c, p, volume in zip(centers, procs, counts * vols):
             if c != p:
-                links = link_router.links(int(c), int(p))
-                if router is not None:
+                links = router.links(int(c), int(p))
+                if track_links:
                     report.add_link_traffic(links, float(volume))
                 if spatial is not None:
                     spatial.record(w, links, float(volume))
-    hops = float((dist[centers, procs] * counts).sum()) if want_hops else 0.0
-    return n_local, hops
+    return float(hops.sum())
 
 
 def _relocate_for_window(
@@ -256,8 +470,8 @@ def _relocate_for_window(
     w: int,
     report: SimReport,
     router: XYRouter | None,
-    spatial: SpatialRecorder | None = None,
-    spatial_router: XYRouter | None = None,
+    track_links: bool,
+    spatial: SpatialRecorder | None,
 ) -> None:
     """Perform all movements into window ``w`` and charge their cost."""
     prev_centers = schedule.centers[:, w - 1]
@@ -272,96 +486,12 @@ def _relocate_for_window(
         report.movement_cost += cost
         report.per_window_cost[w] += cost
         report.n_moves += 1
-        if router is not None or spatial is not None:
-            link_router = router if router is not None else spatial_router
-            links = link_router.links(src, dst)
-            if router is not None:
+        if track_links or spatial is not None:
+            links = router.links(src, dst)
+            if track_links:
                 report.add_link_traffic(links, volume)
             if spatial is not None:
                 spatial.record(w, links, volume)
-
-
-# ---------------------------------------------------------------------------
-# Degraded replay under a fault plan
-# ---------------------------------------------------------------------------
-
-
-def _replay_with_faults(
-    trace: Trace,
-    schedule: Schedule,
-    model: CostModel,
-    capacity: CapacityPlan | None,
-    track_links: bool,
-    faults: FaultPlan,
-    retry: RetryPolicy,
-    evacuate: bool,
-    obs: Instrumentation,
-) -> SimReport:
-    """Execute the schedule while injecting ``faults``.
-
-    The machine's residency — not the schedule — is authoritative here:
-    evacuation and skipped relocations make the two diverge by design,
-    and fetches are served from wherever a datum actually lives.
-    """
-    windows = schedule.windows
-    injector = FaultInjector(faults, model.topology, windows.n_windows)
-    machine = PIMArray(model.topology, capacity)
-    machine.load_initial(schedule.initial_placement())
-    spatial, all_vols = _spatial_recorder(obs, schedule, model)
-    report = SimReport(
-        per_window_cost=np.zeros(windows.n_windows),
-        topology_shape=tuple(model.topology.shape),
-    )
-
-    event_windows = windows.assign(trace.steps)
-    order = np.argsort(event_windows, kind="stable")
-    boundaries = np.searchsorted(event_windows[order], np.arange(windows.n_windows + 1))
-
-    with obs.span(
-        "sim.replay",
-        n_windows=windows.n_windows,
-        n_steps=trace.n_steps,
-        method=schedule.method,
-        faults=True,
-    ):
-        for w in range(windows.n_windows):
-            with obs.span("sim.window", window=w) as window_span:
-                idx = order[boundaries[w] : boundaries[w + 1]]
-                delivered_before = report.n_delivered
-                _execute_faulted_window(
-                    machine, schedule, trace, model, w, idx, report,
-                    injector, retry, evacuate, track_links, spatial,
-                )
-                if spatial is not None:
-                    spatial.close_window(
-                        w, obs.tracer.now_us(), machine.locations(), all_vols
-                    )
-                if obs.enabled:
-                    obs.observe(
-                        "sim.window_cost", float(report.per_window_cost[w])
-                    )
-                    obs.observe(
-                        "sim.window_delivered",
-                        report.n_delivered - delivered_before,
-                    )
-                    window_span.set(
-                        fetches=int(len(idx)),
-                        delivered=report.n_delivered - delivered_before,
-                        down_nodes=len(injector.down_nodes(w)),
-                        cost=float(report.per_window_cost[w]),
-                    )
-        obs.count("sim.fetches", report.n_fetches)
-        obs.count("sim.moves", report.n_moves)
-        obs.count("faults.delivered", report.n_delivered)
-        obs.count("faults.retries", report.n_retries)
-        obs.count("faults.dropped", report.n_dropped)
-        obs.count("faults.unreachable", report.n_unreachable)
-        obs.count("faults.evacuated", report.n_evacuated)
-        obs.count("faults.lost", report.n_lost)
-        obs.count("faults.skipped_moves", report.n_skipped_moves)
-    if spatial is not None:
-        obs.spatial.add(spatial.finish())
-    return report
 
 
 def _execute_faulted_window(
@@ -382,11 +512,8 @@ def _execute_faulted_window(
 ) -> None:
     """Execute one window of a degraded replay (evacuate, move, fetch).
 
-    Shared verbatim between :func:`_replay_with_faults` and the
-    checkpointing :class:`~repro.sim.checkpoint.ReplayCursor`, so online
-    recovery observes exactly the per-window accounting of the offline
-    degraded replay.  The two optional hooks are the seams the
-    ``replicate`` recovery mode plugs into:
+    The two optional hooks are the seams the ``replicate`` recovery
+    mode plugs into:
 
     * ``on_unreachable(w, event, datum, proc, volume, router, alive)``
       may serve a fetch whose primary center is unreachable from a

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import (
     diff_explain_records,
     explain_records,
+    explain_solve,
     explain_workload,
     load_explain_records,
     measure_overhead,
@@ -35,6 +36,12 @@ def test_explain_workload_faulted_variant():
     assert "node 3" in result.workload
     # the dead node is never used from the failure window on
     assert (result.schedule.centers[:, 1:] != 3).all()
+
+
+def test_explain_workload_faulted_variant_honours_kernel():
+    result = explain_workload(bench=1, size=8, fail_node=5, kernel="python")
+    assert result.kernel == "python"
+    assert result.attribution_exact and not result.diagnostics
 
 
 def test_explain_workload_rejects_unknown_benchmark():
@@ -79,9 +86,8 @@ def test_render_human_modes():
 
 
 def test_measure_overhead_reports_medians():
-    report = measure_overhead(
-        bench=1, size=8, mesh=(2, 4), repeats=2, inner=1
-    )
+    solve, *_ = explain_solve(bench=1, size=8, mesh=(2, 4))
+    report = measure_overhead(solve, repeats=2, inner=1)
     assert report["dark_median_us"] > 0
     assert report["recorded_median_us"] > 0
     assert "overhead_pct" in report
@@ -136,3 +142,15 @@ def test_cli_overhead_gate(capsys):
     )
     assert code == EXIT_CONFIG_ERROR
     assert "exceeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", (["--capacity-multiplier", "0.5"], ["--fail-node", "99"])
+)
+def test_cli_overhead_gate_times_the_named_solve(flags, capsys):
+    # the gate builds the same instance as the explain it guards, so a
+    # configuration the explain rejects fails the gate too
+    base = ["explain", "--bench", "1", "--size", "8", *flags]
+    assert main(base) == EXIT_CONFIG_ERROR
+    gated = [*base, "--max-overhead-pct", "50", "--repeats", "1"]
+    assert main(gated) == EXIT_CONFIG_ERROR

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from repro.analysis import (
     run_bench_suite,
 )
 from repro.diagnostics import REG001, REG002, REG003, Severity
+
+TRACKED_BASELINE = Path(__file__).resolve().parents[2] / "BENCH_schedulers.json"
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,14 @@ class TestRunBenchSuite:
         again = run_bench_suite(size=8, benchmarks=(1,), repeats=1)
         for key in ("scds_cost", "lomcds_cost", "gomcds_cost"):
             assert again["results"][0][key] == suite_report["results"][0][key]
+
+    def test_tracked_baseline_keys_are_all_measured(self, suite_report):
+        """Every row key of the committed baseline is still produced, so
+        the baseline carries no stale timings nobody re-measures."""
+        baseline = load_bench_report(TRACKED_BASELINE)
+        produced = set(suite_report["results"][0])
+        for row in baseline["results"]:
+            assert set(row) <= produced, sorted(set(row) - produced)
 
     def test_json_serializable(self, suite_report, tmp_path):
         path = tmp_path / "bench.json"

@@ -24,7 +24,7 @@ from repro.core import (
     reschedule_from_window,
     shortest_center_path,
 )
-from repro.core.kernels import KERNELS
+from repro.core.kernels import KERNELS, shortest_center_path_python
 from repro.faults import FaultPlan, NodeFault
 from repro.grid import Mesh2D
 from repro.mem import CapacityError, CapacityPlan
@@ -185,8 +185,8 @@ def masked_batches(draw, n_procs=6):
 def test_batched_dp_rows_match_per_datum_solves(batch):
     """Each row of the batched DP — per-datum masks, a ``data`` subset, a
     shared mask, rows split over several blocks — equals a per-datum
-    :func:`shortest_center_path` bit for bit: path, total (``inf`` when
-    infeasible) and potentials."""
+    scalar :func:`shortest_center_path_python` solve bit for bit: path,
+    total (``inf`` when infeasible) and potentials."""
     gomcds_module = sys.modules["repro.core.gomcds"]
     costs, masks, vols = batch
     dist = CostModel(TOPO).distances.astype(np.float64)
@@ -206,7 +206,7 @@ def test_batched_dp_rows_match_per_datum_solves(batch):
         for i, d in enumerate(rows):
             allowed = mask_arg[i] if mask_arg.ndim == 3 else mask_arg
             try:
-                path, total, pots = shortest_center_path(
+                path, total, pots = shortest_center_path_python(
                     costs[d], vols[d] * dist, allowed, return_potentials=True
                 )
             except CapacityError:
