@@ -1,8 +1,9 @@
-"""Golden digests: the four capacity-walk path solvers, pinned bit for bit.
+"""Golden digests: the capacity-walk path solvers, pinned bit for bit.
 
 GOMCDS, both fault reschedulers and the movement-budgeted variant all
 route data through their cost-graphs in priority order under the paper's
-capacity rule.  Each case here hashes the schedule's centers and, where
+capacity rule; SCDS and OMCDS's window 0 apply the same first-fit rule
+to one window.  Each case here hashes the schedule's centers and, where
 the solver certifies, the certificate's potentials / masks / totals, on
 benchmarks 1-5 at size 8 on a 4x4 mesh.  Refactoring the walk must leave
 every digest unchanged; recording provenance must not perturb any of
@@ -18,8 +19,10 @@ from repro.core import (
     CostModel,
     gomcds,
     gomcds_budgeted,
+    omcds,
     reschedule_around_faults,
     reschedule_from_window,
+    scds,
 )
 from repro.faults import FaultPlan, NodeFault
 from repro.grid import Mesh2D
@@ -29,7 +32,7 @@ from repro.trace import build_reference_tensor
 from repro.workloads import benchmark as make_benchmark
 
 BENCHES = (1, 2, 3, 4, 5)
-CERTIFYING = ("gomcds", "faults", "recovery")
+RECORDING = ("gomcds", "faults", "recovery", "scds")
 
 #: (solver, bench) -> (centers, certificate, decision log) digests.
 GOLDEN = {
@@ -53,6 +56,16 @@ GOLDEN = {
     ("budgeted", 3): ("3873f46e081ceb8e", None, None),
     ("budgeted", 4): ("4ffbefcd10327c30", None, None),
     ("budgeted", 5): ("44b6e63830b9f8c6", None, None),
+    ("scds", 1): ("d673ad4638119f65", None, "7d8ca95ac8c5f0bb"),
+    ("scds", 2): ("9ee415ea2a4f0bfe", None, "1cd5da0434a7d451"),
+    ("scds", 3): ("9b13eb8e7e0a1992", None, "a96fc616a4e1647c"),
+    ("scds", 4): ("86d181d41e0f9ba2", None, "b1c34a8d70c02dc8"),
+    ("scds", 5): ("d3d7df518d21dd16", None, "1d67b115fb88339e"),
+    ("omcds", 1): ("82b93978af31376c", None, None),
+    ("omcds", 2): ("05a1d783068a6fc5", None, None),
+    ("omcds", 3): ("b2e22846c7813e6a", None, None),
+    ("omcds", 4): ("2cef6e783d936d82", None, None),
+    ("omcds", 5): ("29499d8e4dbc38ff", None, None),
 }
 
 
@@ -93,6 +106,10 @@ def _solve(solver, bench, instrument=None):
         return gomcds(tensor, model, cap, certify=True, instrument=instrument)
     if solver == "budgeted":
         return gomcds_budgeted(tensor, model, 2, cap)
+    if solver == "scds":
+        return scds(tensor, model, cap, instrument=instrument)
+    if solver == "omcds":
+        return omcds(tensor, model, cap)
     rng = np.random.default_rng(1998 + bench)
     fault = NodeFault(
         pid=int(rng.integers(topo.n_procs)),
@@ -112,9 +129,9 @@ def _solve(solver, bench, instrument=None):
 
 CASES = [
     (solver, bench, provenance)
-    for solver in (*CERTIFYING, "budgeted")
+    for solver in (*RECORDING, "budgeted", "omcds")
     for bench in BENCHES
-    for provenance in ((False, True) if solver in CERTIFYING else (False,))
+    for provenance in ((False, True) if solver in RECORDING else (False,))
 ]
 
 
