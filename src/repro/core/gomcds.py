@@ -156,11 +156,6 @@ def _sweep_block(costs, dist, vols, *, rows, masks, paths, totals, potentials):
     per-datum solve under the same mask.
     """
     n_windows, n_procs = costs.shape[1:]
-    move = vols[rows][:, None, None] * dist.T[None]  # (k, to, from)
-    transition = np.empty_like(move)
-    back = np.empty(
-        (len(move), n_windows, n_procs), dtype=np.min_scalar_type(n_procs - 1)
-    )
 
     def window_costs(w):
         c = costs[rows, w]
@@ -171,6 +166,12 @@ def _sweep_block(costs, dist, vols, *, rows, masks, paths, totals, potentials):
     f = window_costs(0)
     if potentials is not None:
         potentials[:, 0] = f
+    if n_windows > 1:  # one window has no transitions to price
+        move = vols[rows][:, None, None] * dist.T[None]  # (k, to, from)
+        transition = np.empty_like(move)
+        back = np.empty(
+            (len(f), n_windows, n_procs), dtype=np.min_scalar_type(n_procs - 1)
+        )
     for w in range(1, n_windows):
         np.add(f[:, None, :], move, out=transition)
         best = transition.argmin(axis=2)
@@ -179,7 +180,7 @@ def _sweep_block(costs, dist, vols, *, rows, masks, paths, totals, potentials):
         f += window_costs(w)
         if potentials is not None:
             potentials[:, w] = f
-    idx = np.arange(len(move))
+    idx = np.arange(len(f))
     paths[:, -1] = f.argmin(axis=1)
     totals[:] = f[idx, paths[:, -1]]
     for w in range(n_windows - 1, 0, -1):

@@ -30,6 +30,7 @@ from ..mem import CapacityPlan, OccupancyTracker, first_available
 from ..obs import Instrumentation, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .gomcds import _batched_walk
 from .schedule import Schedule
 
 __all__ = ["omcds"]
@@ -88,11 +89,11 @@ def _omcds_body(
     # Window 0: the only information available is window 0 itself.
     if tracker is None:
         centers[:, 0] = costs[:, 0, :].argmin(axis=1)
-    else:
-        for d in order:
-            proc = first_available(costs[d, 0], tracker.available_in_window(0))
-            tracker.claim(proc, 0)
-            centers[d, 0] = proc
+    else:  # the one-window GOMCDS capacity walk, on its own window-0 slots
+        centers[:, :1], _, _ = _batched_walk(
+            costs[:, :1], dist, vols, order,
+            tracker=OccupancyTracker(capacity, n_windows=1),
+        )
 
     regret = np.zeros(n_data)
     for w in range(1, n_windows):

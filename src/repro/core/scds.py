@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mem import CapacityPlan, OccupancyTracker, first_available
-from ..obs import Instrumentation, record_decisions, resolve
+from ..mem import CapacityPlan, OccupancyTracker
+from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .gomcds import _path_walk
 from .kernels import (
     merged_totals_python,
     placement_cost_tensor_python,
@@ -82,33 +83,24 @@ def scds(
         if capacity is None:
             # Stable argmin = lowest-pid tie-breaking.
             with obs.span("scds.argmin"):
-                centers = totals.argmin(axis=1)
-            result = Schedule.static(centers, tensor.windows, method="SCDS")
-            if record:
-                record_decisions(
-                    obs, costs=costs, centers=result.centers, model=model,
-                    method="SCDS", kernel=kernel,
+                centers, masks = totals.argmin(axis=1), None
+        else:
+            capacity.check_feasible(n_data)
+            # Lines 5-7: sorted processor list, first available slot — the
+            # one-window case of the GOMCDS capacity walk.
+            with obs.span("scds.capacity_walk") as walk:
+                paths, _, masks = _path_walk(kernel, NOOP)(
+                    totals[:, None, :],
+                    model.distances.astype(np.float64),
+                    model.volume_vector(n_data),
+                    tensor.data_priority_order(),
+                    tracker=OccupancyTracker(capacity, n_windows=1),
+                    record_masks=record,
                 )
-            return result
-
-        capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=1)
-        centers = np.empty(n_data, dtype=np.int64)
-        masks = np.zeros((n_data, model.n_procs), dtype=bool) if record else None
-        with obs.span("scds.capacity_walk") as walk:
-            fallbacks = 0
-            for d in tensor.data_priority_order():
-                # Lines 5-7: sorted processor list, first available slot.
-                available = tracker.available_in_window(0)
-                if masks is not None:
-                    masks[d] = available
-                proc = first_available(totals[d], available)
-                if proc != int(totals[d].argmin()):
-                    fallbacks += 1
-                tracker.claim(proc, 0)
-                centers[d] = proc
-            walk.set(fallbacks=fallbacks)
-            obs.count("scheduler.capacity_fallbacks", fallbacks)
+                centers = paths[:, 0]
+                fallbacks = int((centers != totals.argmin(axis=1)).sum())
+                walk.set(fallbacks=fallbacks)
+                obs.count("scheduler.capacity_fallbacks", fallbacks)
         result = Schedule.static(centers, tensor.windows, method="SCDS")
         if record:
             record_decisions(

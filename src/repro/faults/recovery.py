@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..mem import CapacityError, first_available
+
 __all__ = ["Relocation", "plan_evacuation"]
 
 
@@ -89,15 +91,11 @@ def plan_evacuation(
                 dst = target
         if dst is None:
             # nearest surviving node with a free slot; ties -> lowest pid
-            order = np.argsort(distances[src], kind="stable")
-            for q in order:
-                q = int(q)
-                if alive[q] and headroom[q] > 0:
-                    dst = q
-                    break
-        if dst is None:
-            lost.append(d)
-            continue
+            try:
+                dst = first_available(distances[src], alive & (headroom > 0))
+            except CapacityError:
+                lost.append(d)
+                continue
         headroom[dst] -= 1
         moves.append(Relocation(datum=d, src=src, dst=dst))
     return moves, lost

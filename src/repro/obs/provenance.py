@@ -291,10 +291,7 @@ def _normalize(costs, centers, dist, volumes, masks):
     dist = np.asarray(dist, dtype=np.float64)
     volumes = np.asarray(volumes, dtype=np.float64)
     if masks is not None:
-        masks = np.asarray(masks, dtype=bool)
-        if masks.ndim == 2:  # one static availability row per datum (SCDS)
-            masks = masks[:, None, :]
-        masks = np.broadcast_to(masks, costs.shape)
+        masks = np.broadcast_to(np.asarray(masks, dtype=bool), costs.shape)
     return costs, centers, dist, volumes, masks
 
 
@@ -339,7 +336,7 @@ def derive_decisions(
     volumes:
         ``(D,)`` per-datum movement volumes.
     masks:
-        Optional admissibility: ``(D, W, m)`` (or ``(D, m)``, broadcast
+        Optional admissibility: ``(D, W, m)`` (or ``(D, 1, m)``, broadcast
         across windows) boolean cells the solver was allowed to use.
     evictions:
         Iterable of ``(datum, window)`` coordinates where an idle hold

@@ -8,7 +8,14 @@ kernel's per-datum scalar walk.
 import numpy as np
 import pytest
 
-from repro.core import CostModel, gomcds, lomcds, reschedule_around_faults
+from repro.core import (
+    CostModel,
+    gomcds,
+    lomcds,
+    omcds,
+    reschedule_around_faults,
+    scds,
+)
 from repro.faults import FaultPlan, NodeFault
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
@@ -53,11 +60,21 @@ def test_guess_hitting_a_cell_claimed_in_the_same_batch_is_resolved():
 
 def test_walk_counters_come_only_from_the_batched_walk():
     tensor, model = tensor_1d([[[0, 1, 0]], [[0, 1, 0]]])
+    capacity = CapacityPlan.uniform(3, 1)
     instr = Instrumentation.started()
-    gomcds(tensor, model, CapacityPlan.uniform(3, 1), kernel="python",
-           instrument=instr)
+    gomcds(tensor, model, capacity, kernel="python", instrument=instr)
     gomcds(tensor, model, instrument=instr)  # unconstrained: no walk
     assert counters(instr) == {}
+    # SCDS and OMCDS's window 0 run the one-window walk without counters
+    omcds(tensor, model, capacity, instrument=instr)
+    assert counters(instr) == {}
+    for kernel in ("numpy", "python"):
+        instr = Instrumentation.started()
+        sched = scds(tensor, model, capacity, kernel=kernel, instrument=instr)
+        assert sched.centers.tolist() == [[1], [0]]
+        assert counters(instr) == {"scheduler.capacity_fallbacks": 1.0}
+        (walk,) = [s for s in instr.tracer.spans if s.name == "scds.capacity_walk"]
+        assert walk.attrs["fallbacks"] == 1
 
 
 def test_infeasible_datum_raises_the_oracles_error():

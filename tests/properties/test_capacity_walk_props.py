@@ -1,17 +1,19 @@
 """Capacity-walk parity on *tight* constrained instances.
 
-The numpy kernel solves GOMCDS-family paths speculatively in batches and
-walks LOMCDS one datum (not one cell) at a time; the python kernel keeps
-the per-datum scalar walks.  Under capacities of 1.0-1.5x the balanced
-minimum, with hot processors every datum competes for, the two must
-agree bit for bit: centers, certificates, provenance decision logs,
-walk counters, and the error raised when a datum cannot be placed.
+The numpy kernel solves GOMCDS-family paths (SCDS's included, as the
+one-window case) speculatively in batches and walks LOMCDS one datum
+(not one cell) at a time; the python kernel keeps the per-datum scalar
+walks.  Under capacities of 1.0-1.5x the balanced minimum, with hot
+processors every datum competes for, the two must agree bit for bit:
+centers, certificates, provenance decision logs, walk counters, and the
+error raised when a datum cannot be placed.
 """
 
 import sys
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,8 +22,10 @@ from repro import schedule
 from repro.core import (
     CostModel,
     gomcds,
+    omcds,
     reschedule_around_faults,
     reschedule_from_window,
+    scds,
     shortest_center_path,
 )
 from repro.core.kernels import KERNELS, shortest_center_path_python
@@ -119,6 +123,57 @@ def test_gomcds_kernels_agree_under_tight_capacity(instance):
         )
     )
     _assert_parity(out)
+
+
+@given(tight_instances())
+@settings(max_examples=60, deadline=None)
+def test_scds_kernels_agree_under_tight_capacity(instance):
+    tensor, capacity = instance
+    out = _run(
+        lambda **kw: schedule(
+            tensor, CostModel(TOPO), algorithm="SCDS", capacity=capacity, **kw
+        )
+    )
+    _assert_parity(out, ("scheduler.capacity_fallbacks",))
+
+
+#: name -> (n_data, n_windows) of the one-window walk's boundary inputs,
+#: all solved under one slot per processor.
+BOUNDARIES = {
+    "zero data": (0, 3),
+    "one window": (4, 1),
+    "exactly full": (TOPO.n_procs, 3),
+    "one datum over": (TOPO.n_procs + 1, 2),
+}
+FIRST_FIT = {
+    "SCDS-numpy": lambda t, m, c: scds(t, m, c, kernel="numpy"),
+    "SCDS-python": lambda t, m, c: scds(t, m, c, kernel="python"),
+    "OMCDS": omcds,
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARIES)
+@pytest.mark.parametrize("solver", FIRST_FIT)
+def test_first_fit_boundaries_schedule_or_raise_a_coded_error(case, solver):
+    n_data, n_windows = BOUNDARIES[case]
+    counts = np.arange(n_data * n_windows * TOPO.n_procs, dtype=np.int64)
+    counts = counts.reshape(n_data, n_windows, TOPO.n_procs) % 3
+    counts[:, :, 0] += 4  # every datum wants pid 0
+    trace, windows = trace_from_counts(counts, TOPO)
+    tensor = build_reference_tensor(trace, windows)
+    try:
+        sched = FIRST_FIT[solver](
+            tensor, CostModel(TOPO), CapacityPlan.uniform(TOPO.n_procs, 1)
+        )
+    except CapacityError as err:
+        assert err.code and n_data > TOPO.n_procs
+        return
+    assert sched.centers.shape == (n_data, n_windows)
+    for w in range(n_windows):
+        load = np.bincount(sched.centers[:, w], minlength=TOPO.n_procs)
+        assert load.max(initial=0) <= 1
+    if n_data == TOPO.n_procs:
+        assert sorted(sched.centers[:, 0]) == list(range(TOPO.n_procs))
 
 
 @given(tight_instances())
