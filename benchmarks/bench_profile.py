@@ -1,11 +1,11 @@
-"""Scheduler/replay timing harness + no-op instrumentation overhead gate.
+"""Scheduler/replay timing harness + instrumentation overhead gates.
 
 Run as a script (CI's perf-smoke job does)::
 
     python benchmarks/bench_profile.py --out BENCH_smoke.json \
-        --size 8 --max-overhead-pct 5 \
-        --batch-telemetry --max-telemetry-overhead-pct 75 \
-        --batch-trace-out batch_trace.json --batch-prom-out batch.prom
+        --size 8 --repeats 3 --max-overhead-pct 5 \
+        --max-telemetry-overhead-pct 75 \
+        --batch-trace-out batch_trace.json --batch-prom-out batch_metrics.prom
 
 Thin CLI over :func:`repro.analysis.regression.run_bench_suite`, which
 times SCDS/LOMCDS/GOMCDS scheduling and the hop-level replay on each
@@ -14,14 +14,16 @@ probes that ``replay_schedule`` executes per window.  The gate compares
 the probe *median* against the replay *median* — medians absorb the one
 slow repeat a noisy CI machine produces — and the script exits non-zero
 when the ratio exceeds ``--max-overhead-pct``, keeping the "dark by
-default" promise honest.  ``--batch-telemetry`` applies the same
-median-based discipline to the *enabled* path: a ``workers=2`` batch is
-timed dark and under full cross-process span harvesting, the overhead
-is gated by ``--max-telemetry-overhead-pct``, and the harvested session
-can be written out as a merged Chrome trace (``--batch-trace-out``) and
-a Prometheus exposition dump (``--batch-prom-out``) for CI artifacts.
-The tracked baseline at the repo root (``BENCH_schedulers.json``) is
-produced by this same script at the pinned config and diffed by
+default" promise honest.  ``--max-telemetry-overhead-pct`` gates the
+*enabled* path: :func:`repro.analysis.regression.overhead_probe` times a
+``workers=2`` numpy GOMCDS batch over the same benchmarks dark and under
+full cross-process span harvesting, alternating, and the script exits
+non-zero when the median-over-median overhead exceeds the budget or the
+schedules differ.  The probe's last harvested session can be written out
+as a merged Chrome trace (``--batch-trace-out``) and a Prometheus
+exposition dump (``--batch-prom-out``) for CI artifacts.  The tracked
+baseline at the repo root (``BENCH_schedulers.json``) is produced by
+this same script at the pinned config and diffed by
 ``repro bench-compare``.
 """
 
@@ -32,26 +34,22 @@ import json
 import sys
 from pathlib import Path
 
-from repro.analysis.regression import run_bench_suite
+from repro.analysis.regression import overhead_probe, run_bench_suite
+from repro.core import CostModel
+from repro.engine import ScheduleRequest, schedule_many
+from repro.grid import Mesh2D
+from repro.mem import CapacityPlan
+from repro.obs import render_chrome, to_prometheus
+from repro.workloads import benchmark as make_benchmark
 
 
-def _write_batch_artifacts(
-    trace_out: Path | None,
-    prom_out: Path | None,
+def _batch_requests(
     mesh: tuple[int, int],
     size: int,
     benchmarks: tuple[int, ...],
     seed: int,
-    workers: int = 2,
-) -> None:
-    """One harvested ``workers=2`` batch, exported for CI artifacts."""
-    from repro.core import CostModel
-    from repro.engine import ScheduleRequest, schedule_many
-    from repro.grid import Mesh2D
-    from repro.mem import CapacityPlan
-    from repro.obs import Instrumentation, render_chrome, to_prometheus
-    from repro.workloads import benchmark as make_benchmark
-
+) -> list[ScheduleRequest]:
+    """One GOMCDS request per paper benchmark, at the suite's config."""
     topology = Mesh2D(*mesh)
     model = CostModel(topology)
     requests = []
@@ -64,14 +62,7 @@ def _write_batch_artifacts(
                 algorithm="gomcds", label=f"bench{bench}",
             )
         )
-    instr = Instrumentation.started()
-    schedule_many(requests, workers=workers, kernel="numpy", instrument=instr)
-    if trace_out is not None:
-        trace_out.write_text(render_chrome(instr) + "\n")
-        print(f"wrote merged chrome trace to {trace_out}")
-    if prom_out is not None:
-        prom_out.write_text(to_prometheus(instr) + "\n")
-        print(f"wrote prometheus dump to {prom_out}")
+    return requests
 
 
 def run(
@@ -82,35 +73,34 @@ def run(
     repeats: int = 3,
     seed: int = 1998,
     max_overhead_pct: float | None = None,
-    include_batch: bool = False,
-    batch_telemetry: bool = False,
     max_telemetry_overhead_pct: float | None = None,
     batch_trace_out: Path | None = None,
     batch_prom_out: Path | None = None,
 ) -> int:
+    """Run the suite and the gates that are given; 0 when all pass.
+
+    The telemetry probe runs only when ``max_telemetry_overhead_pct`` is
+    set, and the two export paths write the session it returns.
+    """
     report = run_bench_suite(
         mesh=mesh, size=size, benchmarks=benchmarks, repeats=repeats,
-        seed=seed, include_batch=include_batch,
-        include_batch_telemetry=batch_telemetry,
+        seed=seed,
     )
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {out}")
-    if include_batch:
-        batch = report["batch_gomcds"]
-        print(
-            f"batched GOMCDS suite: sequential scalar "
-            f"{batch['sequential_python_median_s']:.4f}s vs batched numpy "
-            f"{batch['batch_numpy_median_s']:.4f}s "
-            f"({batch['speedup']:.1f}x speedup)"
-        )
     failed = False
-    if batch_telemetry:
-        tele = report["batch_telemetry"]
+    if max_telemetry_overhead_pct is not None:
+        requests = _batch_requests(mesh, size, benchmarks, seed)
+        tele, session = overhead_probe(
+            lambda instrument: schedule_many(
+                requests, workers=2, kernel="numpy", instrument=instrument
+            ),
+            repeats,
+        )
+        report["batch_telemetry"] = tele
         print(
-            f"batch telemetry overhead (workers={tele['workers']}, medians): "
+            f"batch telemetry overhead (workers=2, medians): "
             f"{tele['overhead_pct']:.1f}% "
             f"({tele['dark_median_s'] * 1e3:.1f} ms dark / "
-            f"{tele['traced_median_s'] * 1e3:.1f} ms harvested)"
+            f"{tele['instrumented_median_s'] * 1e3:.1f} ms harvested)"
         )
         if not tele["bit_identical"]:
             print(
@@ -119,19 +109,21 @@ def run(
                 file=sys.stderr,
             )
             failed = True
-        if (
-            max_telemetry_overhead_pct is not None
-            and tele["overhead_pct"] > max_telemetry_overhead_pct
-        ):
+        if tele["overhead_pct"] > max_telemetry_overhead_pct:
             print(
                 f"FAIL: telemetry overhead {tele['overhead_pct']:.1f}% "
                 f"exceeds budget {max_telemetry_overhead_pct:g}%",
                 file=sys.stderr,
             )
             failed = True
-        _write_batch_artifacts(
-            batch_trace_out, batch_prom_out, mesh, size, benchmarks, seed
-        )
+        if batch_trace_out is not None:
+            batch_trace_out.write_text(render_chrome(session) + "\n")
+            print(f"wrote merged chrome trace to {batch_trace_out}")
+        if batch_prom_out is not None:
+            batch_prom_out.write_text(to_prometheus(session) + "\n")
+            print(f"wrote prometheus dump to {batch_prom_out}")
+    out.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"wrote {out}")
     overhead = report["noop_overhead"]
     print(
         f"no-op instrumentation overhead on replay (medians): "
@@ -168,31 +160,29 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 if the no-op probe overhead exceeds this percentage",
     )
     parser.add_argument(
-        "--include-batch", action="store_true",
-        help="record the batched-vs-sequential GOMCDS engine speedup "
-        "in a batch_gomcds block",
-    )
-    parser.add_argument(
-        "--batch-telemetry", action="store_true",
-        help="measure worker-span harvesting overhead on a workers=2 "
-        "batch (batch_telemetry block) and verify bit-identity",
-    )
-    parser.add_argument(
         "--max-telemetry-overhead-pct", type=float, default=None,
-        help="exit 1 if telemetry-on overhead exceeds this percentage "
-        "(median over median; needs --batch-telemetry)",
+        help="probe a workers=2 GOMCDS batch dark vs under worker-span "
+        "harvesting; exit 1 if the median-over-median overhead exceeds "
+        "this percentage or the schedules differ",
     )
     parser.add_argument(
         "--batch-trace-out", type=Path, default=None, metavar="PATH",
-        help="write the harvested batch session as a merged Chrome trace "
-        "(needs --batch-telemetry)",
+        help="write the probe's harvested batch session as a merged Chrome "
+        "trace (needs --max-telemetry-overhead-pct)",
     )
     parser.add_argument(
         "--batch-prom-out", type=Path, default=None, metavar="PATH",
-        help="write the harvested batch metrics in Prometheus exposition "
-        "format (needs --batch-telemetry)",
+        help="write the probe's harvested batch metrics in Prometheus "
+        "exposition format (needs --max-telemetry-overhead-pct)",
     )
     args = parser.parse_args(argv)
+    if args.max_telemetry_overhead_pct is None and (
+        args.batch_trace_out or args.batch_prom_out
+    ):
+        parser.error(
+            "--batch-trace-out/--batch-prom-out need "
+            "--max-telemetry-overhead-pct"
+        )
     return run(
         out=args.out,
         mesh=tuple(args.mesh),
@@ -201,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         repeats=args.repeats,
         seed=args.seed,
         max_overhead_pct=args.max_overhead_pct,
-        include_batch=args.include_batch,
-        batch_telemetry=args.batch_telemetry,
         max_telemetry_overhead_pct=args.max_telemetry_overhead_pct,
         batch_trace_out=args.batch_trace_out,
         batch_prom_out=args.batch_prom_out,

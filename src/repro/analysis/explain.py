@@ -9,10 +9,12 @@ per-datum timelines, counterfactual "second-best" deltas, JSON/JSONL
 export, and a diff of two exported runs (``repro explain --diff A B``,
 e.g. a fault-free solve against a faulted reschedule).
 
-``measure_overhead`` is the perf face: it times dark solves against
-solves under a recording-but-provenance-off session, so CI can gate
-that the provenance instrumentation added to the scheduler hot paths
-stays within the probe-overhead budget when nobody asked for it.
+``explain_solve`` also feeds the perf face: ``repro explain
+--max-overhead-pct`` hands the same solve to
+:func:`repro.analysis.regression.overhead_probe`, which times it dark
+against a recording-but-provenance-off session and checks the schedules
+stay bit-identical, so CI can gate that the provenance plumbing in the
+scheduler hot paths stays cheap when nobody asked for it.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from statistics import median
-from time import perf_counter
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "load_explain_records",
     "diff_explain_records",
     "render_explain_diff",
-    "measure_overhead",
 ]
 
 
@@ -89,8 +88,9 @@ def explain_solve(
     ``fail_node`` switches to the fault-aware rescheduler
     (:func:`repro.core.reschedule.reschedule_around_faults`) with that
     processor down from window ``fail_window`` on.  Both
-    :func:`explain_workload` and :func:`measure_overhead` run this call,
-    so the overhead gate times exactly the solve being explained.
+    :func:`explain_workload` and ``repro explain --max-overhead-pct`` run
+    this call, so the overhead gate times exactly the solve being
+    explained.
     """
     if bench not in BENCHMARK_NAMES:
         known = ", ".join(str(b) for b in sorted(BENCHMARK_NAMES))
@@ -372,41 +372,3 @@ def render_explain_diff(diff: dict, top: int | None = 20) -> str:
             f"only in B: {len(diff['only_b'])} (different shapes)"
         )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Overhead gate
-# ---------------------------------------------------------------------------
-
-
-def measure_overhead(solve, repeats: int = 5, inner: int = 3) -> dict:
-    """Median time of ``solve(instrument)``, dark vs recording-with-
-    provenance-off (``solve`` as returned by :func:`explain_solve`).
-
-    The contract under test: a session that records spans but did *not*
-    opt into provenance pays only one attribute read per solve for the
-    provenance plumbing.  Each repeat times ``inner`` back-to-back
-    solves; medians over ``repeats`` keep one noisy measurement from
-    failing a CI gate.
-    """
-
-    def timed(instrument) -> float:
-        start = perf_counter()
-        for _ in range(inner):
-            solve(instrument)
-        return (perf_counter() - start) / inner
-
-    solve(None)  # warm caches before timing
-    dark, recorded = [], []
-    for _ in range(repeats):
-        dark.append(timed(None))
-        recorded.append(timed(Instrumentation.started(provenance=False)))
-    dark_us = median(dark) * 1e6
-    recorded_us = median(recorded) * 1e6
-    overhead = (recorded_us - dark_us) / dark_us * 100.0 if dark_us else 0.0
-    return {
-        "repeats": repeats,
-        "dark_median_us": dark_us,
-        "recorded_median_us": recorded_us,
-        "overhead_pct": overhead,
-    }

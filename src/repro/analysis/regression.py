@@ -20,6 +20,14 @@ Timing medians: every ``*_s`` key keeps the historical best-of-repeats
 reading (stable for trajectory diffs); the ``*_median_s`` twin carries
 the median, which the no-op overhead gate uses because medians are
 robust to one slow repeat on a noisy CI machine.
+
+Instrumentation overhead: :func:`overhead_probe` is the one way the repo
+times dark runs against runs under ``Instrumentation.started()`` —
+alternating, with a bit-identity check on the schedules.  Both
+enabled-path gates call it (``bench_profile.py
+--max-telemetry-overhead-pct`` and ``repro explain --max-overhead-pct``);
+the *disabled* probes keep their own ``noop_overhead`` measurement,
+which no dark-vs-instrumented pair can isolate.
 """
 
 from __future__ import annotations
@@ -30,10 +38,11 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
+import numpy as np
+
 from ..api import schedule
 from ..core import CostModel, evaluate_schedule
 from ..diagnostics import REG001, REG002, REG003, Diagnostic, Severity
-from ..engine import ScheduleRequest, schedule_many
 from ..grid import Mesh2D
 from ..mem import CapacityPlan
 from ..obs import NOOP, Instrumentation
@@ -43,6 +52,7 @@ from ..workloads import BENCHMARK_NAMES, benchmark as make_benchmark
 __all__ = [
     "BENCH_SCHEDULERS",
     "BenchComparison",
+    "overhead_probe",
     "run_bench_suite",
     "load_bench_report",
     "compare_bench_reports",
@@ -74,6 +84,49 @@ def _time_repeats(fn, repeats: int) -> tuple[float, float]:
     return min(times), median(times)
 
 
+def overhead_probe(run, repeats: int) -> tuple[dict, Instrumentation]:
+    """What recording costs ``run``, and whether it changes the answer.
+
+    ``run(instrument)`` returns the schedules it produced.  After one
+    warm-up call per side, dark (``None``) and instrumented
+    (``Instrumentation.started()``) calls alternate ``repeats`` times
+    each, so machine drift lands on both sides alike.  Returns the report
+    — both medians, ``overhead_pct`` (median over median) and
+    ``bit_identical`` (every instrumented call gave as many schedules as
+    the dark warm-up, with equal centers) — and the session of the last
+    instrumented call.
+    """
+    baseline = run(None)
+
+    def same(schedules) -> bool:
+        return len(schedules) == len(baseline) and all(
+            np.array_equal(a.centers, b.centers)
+            for a, b in zip(baseline, schedules)
+        )
+
+    session = Instrumentation.started()
+    identical = same(run(session))
+    dark, traced = [], []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        run(None)
+        dark.append(perf_counter() - t0)
+        session = Instrumentation.started()
+        t0 = perf_counter()
+        schedules = run(session)
+        traced.append(perf_counter() - t0)
+        identical = identical and same(schedules)
+    dark_med, traced_med = median(dark), median(traced)
+    report = {
+        "repeats": repeats,
+        "dark_median_s": dark_med,
+        "instrumented_median_s": traced_med,
+        "overhead_pct": 100.0 * (traced_med - dark_med) / dark_med,
+        "bit_identical": identical,
+    }
+    return report, session
+
+
 def _noop_probe_seconds(n_windows: int, repeats: int) -> tuple[float, float]:
     """Wall time of the disabled probes a replay of ``n_windows`` runs."""
 
@@ -90,112 +143,12 @@ def _noop_probe_seconds(n_windows: int, repeats: int) -> tuple[float, float]:
     return _time_repeats(probes, repeats)
 
 
-def _batch_gomcds_block(
-    instances: list[tuple],
-    model: CostModel,
-    repeats: int,
-) -> dict:
-    """Measure the batched numpy GOMCDS suite against the sequential
-    scalar (``kernel="python"``) baseline over the same instances.
-
-    The two runs produce bit-identical schedules (the kernels are
-    property-tested for parity), so the block records pure engine
-    speedup: vectorized DP + one ``schedule_many`` fan-out versus a
-    python-kernel loop.
-    """
-    requests = [
-        ScheduleRequest(
-            tensor, model, capacity=capacity, algorithm="gomcds",
-            label=f"bench{bench}",
-        )
-        for bench, tensor, capacity in instances
-    ]
-
-    def sequential():
-        for _, tensor, capacity in instances:
-            schedule(
-                tensor, model, algorithm="gomcds", capacity=capacity,
-                kernel="python",
-            )
-
-    def batched():
-        schedule_many(requests, workers=1, kernel="numpy")
-
-    sequential()  # warm
-    batched()
-    seq_s, seq_med = _time_repeats(sequential, repeats)
-    batch_s, batch_med = _time_repeats(batched, repeats)
-    return {
-        "n_requests": len(requests),
-        "sequential_python_s": seq_s,
-        "sequential_python_median_s": seq_med,
-        "batch_numpy_s": batch_s,
-        "batch_numpy_median_s": batch_med,
-        "speedup": seq_med / batch_med if batch_med > 0 else float("inf"),
-    }
-
-
-def _batch_telemetry_block(
-    instances: list[tuple],
-    model: CostModel,
-    repeats: int,
-    workers: int = 2,
-) -> dict:
-    """Median cost of full telemetry harvesting on a pooled batch.
-
-    Times the same ``workers=2`` GOMCDS suite twice — dark (no
-    instrument) and under a recording session with cross-process span
-    harvesting — and reports the median-over-median overhead.  The two
-    runs must also produce bit-identical schedules: telemetry is
-    observational by contract (``docs/observability.md``).
-    """
-    import numpy as np
-
-    requests = [
-        ScheduleRequest(
-            tensor, model, capacity=capacity, algorithm="gomcds",
-            label=f"bench{bench}",
-        )
-        for bench, tensor, capacity in instances
-    ]
-
-    def dark():
-        return schedule_many(requests, workers=workers, kernel="numpy")
-
-    def traced():
-        return schedule_many(
-            requests, workers=workers, kernel="numpy",
-            instrument=Instrumentation.started(),
-        )
-
-    baseline = dark()  # warm (includes one pool spawn)
-    harvested = traced()
-    identical = all(
-        np.array_equal(a.centers, b.centers)
-        for a, b in zip(baseline, harvested)
-    )
-    dark_s, dark_med = _time_repeats(dark, repeats)
-    traced_s, traced_med = _time_repeats(traced, repeats)
-    return {
-        "n_requests": len(requests),
-        "workers": workers,
-        "dark_s": dark_s,
-        "dark_median_s": dark_med,
-        "traced_s": traced_s,
-        "traced_median_s": traced_med,
-        "overhead_pct": 100.0 * (traced_med - dark_med) / dark_med,
-        "bit_identical": identical,
-    }
-
-
 def run_bench_suite(
     mesh: tuple[int, int] = (4, 4),
     size: int = 16,
     benchmarks: tuple[int, ...] = (1, 2, 3, 4, 5),
     repeats: int = 3,
     seed: int = 1998,
-    include_batch: bool = False,
-    include_batch_telemetry: bool = False,
 ) -> dict:
     """Time scheduling + replay on the paper benchmarks; return the report.
 
@@ -203,25 +156,18 @@ def run_bench_suite(
     ``config`` block (so a comparison can verify like-for-like), one
     ``results`` row per benchmark (costs, best-of and median timings,
     no-op probe overhead) and a suite-level ``noop_overhead`` block whose
-    ``overhead_pct`` is computed from *medians*.  ``include_batch=True``
-    appends a ``batch_gomcds`` block comparing the batched numpy GOMCDS
-    suite against the sequential scalar-kernel baseline;
-    ``include_batch_telemetry=True`` appends a ``batch_telemetry`` block
-    measuring what worker-span harvesting costs a ``workers=2`` batch.
-    The comparator ignores unknown top-level keys, so older baselines
-    stay valid.
+    ``overhead_pct`` is computed from *medians*.  The comparator ignores
+    unknown top-level keys, so older baselines stay valid.
     """
     topology = Mesh2D(*mesh)
     model = CostModel(topology)
     results = []
     replay_medians = []
     probe_medians = []
-    instances = []
     for bench in benchmarks:
         workload = make_benchmark(bench, size, topology, seed=seed)
         tensor = workload.reference_tensor()
         capacity = CapacityPlan.paper_rule(workload.n_data, topology.n_procs)
-        instances.append((bench, tensor, capacity))
         row = {
             "benchmark": bench,
             "name": BENCHMARK_NAMES[bench],
@@ -261,7 +207,7 @@ def run_bench_suite(
         probe_medians.append(probe_med)
 
     overhead_pct = 100.0 * sum(probe_medians) / sum(replay_medians)
-    report = {
+    return {
         "config": {
             "mesh": list(mesh),
             "size": size,
@@ -277,15 +223,6 @@ def run_bench_suite(
             "overhead_pct": overhead_pct,
         },
     }
-    if include_batch:
-        report["batch_gomcds"] = _batch_gomcds_block(
-            instances, model, repeats
-        )
-    if include_batch_telemetry:
-        report["batch_telemetry"] = _batch_telemetry_block(
-            instances, model, repeats
-        )
-    return report
 
 
 def load_bench_report(path: str | Path) -> dict:

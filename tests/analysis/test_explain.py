@@ -7,14 +7,12 @@ import pytest
 from repro.analysis import (
     diff_explain_records,
     explain_records,
-    explain_solve,
     explain_workload,
     load_explain_records,
-    measure_overhead,
     render_explain_diff,
     render_explain_human,
 )
-from repro.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from repro.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNREACHABLE_DATA, main
 
 ARGS = ["--bench", "1", "--size", "8", "--mesh", "2", "4"]
 
@@ -85,14 +83,6 @@ def test_render_human_modes():
     assert "window 1:" in one_window
 
 
-def test_measure_overhead_reports_medians():
-    solve, *_ = explain_solve(bench=1, size=8, mesh=(2, 4))
-    report = measure_overhead(solve, repeats=2, inner=1)
-    assert report["dark_median_us"] > 0
-    assert report["recorded_median_us"] > 0
-    assert "overhead_pct" in report
-
-
 def test_cli_human_and_check(capsys):
     assert main(["explain", *ARGS, "--datum", "0", "--check"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -132,16 +122,29 @@ def test_cli_python_kernel_and_json(capsys):
 
 def test_cli_overhead_gate(capsys):
     # a generous budget always passes; an impossible one exits 2
-    assert (
-        main(["explain", *ARGS, "--max-overhead-pct", "10000", "--repeats", "1"])
-        == EXIT_OK
-    )
+    assert main(["explain", *ARGS, "--max-overhead-pct", "10000"]) == EXIT_OK
     capsys.readouterr()
-    code = main(
-        ["explain", *ARGS, "--max-overhead-pct", "-100", "--repeats", "1"]
-    )
+    code = main(["explain", *ARGS, "--max-overhead-pct", "-100"])
     assert code == EXIT_CONFIG_ERROR
     assert "exceeds" in capsys.readouterr().err
+
+
+def test_cli_overhead_gate_fails_a_schedule_change(monkeypatch, capsys):
+    # a recording session that changes the schedules is a divergence,
+    # whatever the timing says
+    report = {
+        "repeats": 1,
+        "dark_median_s": 1.0,
+        "instrumented_median_s": 1.0,
+        "overhead_pct": 0.0,
+        "bit_identical": False,
+    }
+    monkeypatch.setattr(
+        "repro.analysis.overhead_probe", lambda run, repeats: (report, None)
+    )
+    code = main(["explain", *ARGS, "--max-overhead-pct", "10000"])
+    assert code == EXIT_UNREACHABLE_DATA
+    assert "bit-identity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -152,5 +155,5 @@ def test_cli_overhead_gate_times_the_named_solve(flags, capsys):
     # configuration the explain rejects fails the gate too
     base = ["explain", "--bench", "1", "--size", "8", *flags]
     assert main(base) == EXIT_CONFIG_ERROR
-    gated = [*base, "--max-overhead-pct", "50", "--repeats", "1"]
+    gated = [*base, "--max-overhead-pct", "50"]
     assert main(gated) == EXIT_CONFIG_ERROR

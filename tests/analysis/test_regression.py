@@ -4,12 +4,14 @@ import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
     BENCH_SCHEDULERS,
     compare_bench_reports,
     load_bench_report,
+    overhead_probe,
     run_bench_suite,
 )
 from repro.diagnostics import REG001, REG002, REG003, Severity
@@ -46,9 +48,13 @@ class TestRunBenchSuite:
             assert again["results"][0][key] == suite_report["results"][0][key]
 
     def test_tracked_baseline_keys_are_all_measured(self, suite_report):
-        """Every row key of the committed baseline is still produced, so
-        the baseline carries no stale timings nobody re-measures."""
+        """Every top-level and row key of the committed baseline is still
+        produced, so the baseline carries no stale timings nobody
+        re-measures."""
         baseline = load_bench_report(TRACKED_BASELINE)
+        assert set(baseline) <= set(suite_report), sorted(
+            set(baseline) - set(suite_report)
+        )
         produced = set(suite_report["results"][0])
         for row in baseline["results"]:
             assert set(row) <= produced, sorted(set(row) - produced)
@@ -57,6 +63,65 @@ class TestRunBenchSuite:
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(suite_report))
         assert load_bench_report(path)["results"] == suite_report["results"]
+
+
+class _Schedule:
+    def __init__(self, centers):
+        self.centers = np.asarray(centers)
+
+
+def _stub_run(answers):
+    """A ``run`` that logs each call's mode and returns canned schedules;
+    ``answers(n_instrumented)`` gives the centers of each instrumented
+    call (0 is the warm-up)."""
+    calls = []
+
+    def run(instrument):
+        if instrument is None:
+            calls.append("dark")
+            return [_Schedule([[0, 1]]), _Schedule([[2, 3]])]
+        calls.append("instrumented")
+        n = calls.count("instrumented") - 1
+        with instrument.span("stub.run", call=n):
+            pass
+        return [_Schedule(c) for c in answers(n)]
+
+    return run, calls
+
+
+class TestOverheadProbe:
+    def test_alternates_after_one_warm_up_per_side(self):
+        run, calls = _stub_run(lambda n: ([[0, 1]], [[2, 3]]))
+        report, _ = overhead_probe(run, repeats=3)
+        assert calls[:2] == ["dark", "instrumented"]
+        assert calls[2:] == ["dark", "instrumented"] * 3
+        assert report["repeats"] == 3
+        assert report["bit_identical"] is True
+        assert report["overhead_pct"] == pytest.approx(
+            100.0
+            * (report["instrumented_median_s"] - report["dark_median_s"])
+            / report["dark_median_s"]
+        )
+
+    def test_different_centers_are_not_bit_identical(self):
+        # only the last instrumented call diverges
+        run, _ = _stub_run(
+            lambda n: ([[0, 1]], [[2, 3]] if n < 2 else [[2, 4]])
+        )
+        report, _ = overhead_probe(run, repeats=2)
+        assert report["bit_identical"] is False
+
+    def test_a_different_schedule_count_is_not_bit_identical(self):
+        run, _ = _stub_run(lambda n: ([[0, 1]],))
+        report, _ = overhead_probe(run, repeats=1)
+        assert report["bit_identical"] is False
+
+    def test_returns_the_last_instrumented_session(self):
+        run, _ = _stub_run(lambda n: ([[0, 1]], [[2, 3]]))
+        _, session = overhead_probe(run, repeats=2)
+        (span,) = session.tracer.spans
+        assert span.name == "stub.run"
+        assert span.attrs["call"] == 2
 
 
 def test_load_rejects_non_reports(tmp_path):
