@@ -235,7 +235,8 @@ def _check_invariants(
 
     # RCV001: no silent data loss.  Two halves: (a) every reference lands
     # in an outcome bucket, always; (b) a *recoverable* replicate run
-    # keeps every datum instance (the mode's whole point).
+    # keeps every datum instance a surviving replica could have saved (the
+    # mode's whole point); a datum whose every copy died is accounted loss.
     if not sim.accounts_for_all_fetches():
         violations.append(
             Diagnostic(
@@ -249,15 +250,15 @@ def _check_invariants(
                 ),
             )
         )
-    if mode == "replicate" and rep.recoverable and sim.n_lost > 0:
+    if mode == "replicate" and rep.recoverable and rep.n_avoidable_lost > 0:
         violations.append(
             Diagnostic(
                 code=RCV001,
                 severity=Severity.ERROR,
                 message=(
                     f"scenario {scenario_index}: replicate-mode run lost "
-                    f"{sim.n_lost} datum instance(s) despite a fully "
-                    "recoverable storm"
+                    f"{rep.n_avoidable_lost} datum instance(s) with a live "
+                    "replica site despite a fully recoverable storm"
                 ),
             )
         )

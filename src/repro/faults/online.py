@@ -347,7 +347,9 @@ class RecoveryReport:
 
     ``sim`` is the final :class:`~repro.sim.SimReport` of the surviving
     timeline (rolled-back windows are *not* in it — their cost is
-    accounted here as ``wasted_cost``).
+    accounted here as ``wasted_cost``).  ``n_avoidable_lost`` follows the
+    surviving timeline too: the datum instances ``sim.n_lost`` counts that
+    were lost while a replica site other than their source was alive.
     """
 
     sim: object  # SimReport; untyped to keep this module import-light
@@ -363,6 +365,7 @@ class RecoveryReport:
     n_replica_promoted: int = 0
     n_degraded_refs: int = 0
     n_degraded_lost: int = 0
+    n_avoidable_lost: int = 0
     reschedule_failures: int = 0
     restore_mismatches: int = 0
     budget_exhausted: bool = False
@@ -387,7 +390,9 @@ class RecoveryReport:
         )
 
     def to_dict(self) -> dict:
-        return {
+        """JSON-ready record; ``n_avoidable_lost`` appears only when non-zero,
+        so the payload of a run without avoidable loss keeps its shape."""
+        record = {
             "kind": "recovery_report",
             "schema_version": SCHEMA_VERSION,
             "mode": self.mode,
@@ -410,6 +415,9 @@ class RecoveryReport:
             "events": [e.to_dict() for e in self.events],
             "sim": self.sim.to_dict(),
         }
+        if self.n_avoidable_lost:
+            record["n_avoidable_lost"] = self.n_avoidable_lost
+        return record
 
     @staticmethod
     def from_dict(payload: dict) -> "RecoveryReport":
@@ -439,6 +447,7 @@ class RecoveryReport:
             n_replica_promoted=int(payload["n_replica_promoted"]),
             n_degraded_refs=int(payload["n_degraded_refs"]),
             n_degraded_lost=int(payload["n_degraded_lost"]),
+            n_avoidable_lost=int(payload.get("n_avoidable_lost", 0)),
             reschedule_failures=int(payload["reschedule_failures"]),
             restore_mismatches=int(payload["restore_mismatches"]),
             budget_exhausted=bool(payload["budget_exhausted"]),
@@ -495,7 +504,6 @@ class RecoveryController:
         replicas=None,
         detector: FaultDetector | None = None,
         evacuate: bool = True,
-        track_links: bool = False,
         instrument: Instrumentation | None = None,
     ) -> None:
         self.policy = policy or RecoveryPolicy()
@@ -518,7 +526,6 @@ class RecoveryController:
         self.base_retry = retry or RetryPolicy()
         self.detector = detector or FaultDetector(plan)
         self.evacuate = evacuate
-        self.track_links = track_links
         self._obs = resolve(instrument)
         self._replicas = (
             None if replicas is None else getattr(replicas, "replicas", replicas)
@@ -530,10 +537,13 @@ class RecoveryController:
         )
         self._recoveries_used = 0
         self._polling = True
+        # n_avoidable_lost as of the last checkpoint, restored on rollback
+        self._avoidable_at_ckpt = 0
 
     # -- degradation-mode hooks (installed on the cursor) --------------------
 
-    def _on_unreachable(self, w, event, d, p, volume, router, alive) -> bool:
+    def _on_unreachable(self, w, d, p, router, alive):
+        """Links to serve datum ``d`` to ``p`` from a replica, or ``None``."""
         mode = self.policy.mode
         if mode == "strict":
             raise RecoveryError(
@@ -542,26 +552,14 @@ class RecoveryController:
                 report=self.report,
             )
         if mode == "replicate" and self._replicas is not None and alive[p]:
-            route = self._best_replica_route(d, p, router, alive)
-            if route is not None:
-                from ..sim.replay import _attempt_fetch
-
+            links = self._best_replica_links(d, p, router, alive)
+            if links is not None:
                 self.report.n_replica_served += 1
                 self._obs.count("recovery.replica_served")
-                _attempt_fetch(
-                    self._cursor.report,
-                    self._cursor.retry,
-                    self._cursor.injector,
-                    w,
-                    event,
-                    route,
-                    volume,
-                    self.track_links,
-                )
-                return True
+                return links
         self.report.n_degraded_refs += 1
         self._obs.count("recovery.degraded_refs")
-        return False  # fall through to the standard unreachable record
+        return None  # fall through to the standard unreachable record
 
     def _on_stranded(self, datum, src, w) -> bool:
         mode = self.policy.mode
@@ -573,10 +571,10 @@ class RecoveryController:
             )
         if mode == "replicate" and self._replicas is not None:
             alive = self._cursor.injector.alive_mask(w)
-            for site in self._replicas[datum]:
-                site = int(site)
-                if not alive[site] or site == src:
-                    continue
+            sites = [
+                int(s) for s in self._replicas[datum] if alive[s] and s != src
+            ]
+            for site in sites:
                 try:
                     self._cursor.machine.relocate(datum, src, site)
                 except CapacityError:
@@ -584,20 +582,23 @@ class RecoveryController:
                 self.report.n_replica_promoted += 1
                 self._obs.count("recovery.replica_promoted")
                 return True
+            if sites:
+                # a copy survived, yet promotion failed: avoidable loss
+                self.report.n_avoidable_lost += 1
         self.report.n_degraded_lost += 1
         self._obs.count("recovery.degraded_lost")
         return False  # fall through to the standard loss record
 
-    def _best_replica_route(self, d, p, router, alive):
-        """Shortest surviving route from an alive replica site of ``d``."""
+    def _best_replica_links(self, d, p, router, alive):
+        """Links of the shortest surviving route from an alive replica site."""
         best = None
         for site in self._replicas[d]:
             site = int(site)
             if not alive[site]:
                 continue
-            route = router.route(site, p)
-            if route is not None and (best is None or len(route) < len(best)):
-                best = route
+            links = router.links(site, p)
+            if links is not None and (best is None or len(links) < len(best)):
+                best = links
         return best
 
     # -- the recovery loop ---------------------------------------------------
@@ -626,7 +627,6 @@ class RecoveryController:
                 faults=self.detector.known_plan,
                 retry=self.base_retry,
                 evacuate=self.evacuate,
-                track_links=self.track_links,
                 on_unreachable=self._on_unreachable,
                 on_stranded=self._on_stranded,
             )
@@ -637,6 +637,7 @@ class RecoveryController:
                 if self._polling and w % policy.checkpoint_interval == 0:
                     with self._obs.span("recovery.checkpoint", window=w):
                         last_ckpt = cursor.snapshot()
+                    self._avoidable_at_ckpt = self.report.n_avoidable_lost
                 cursor.step()
                 if not self._polling:
                     continue
@@ -679,6 +680,7 @@ class RecoveryController:
             "recovery.rollback", window=window, to_window=ckpt.window
         ):
             cursor.restore(ckpt)
+            report.n_avoidable_lost = self._avoidable_at_ckpt
             if cursor.state_digest() != ckpt.digest:
                 report.restore_mismatches += 1
                 self._obs.count("recovery.restore_mismatch")
@@ -763,7 +765,6 @@ def replay_with_recovery(
     retry: RetryPolicy | None = None,
     replicas=None,
     evacuate: bool = True,
-    track_links: bool = False,
     instrument: Instrumentation | None = None,
 ) -> RecoveryReport:
     """One-call online recovery run; see :class:`RecoveryController`."""
@@ -778,6 +779,5 @@ def replay_with_recovery(
         retry=retry,
         replicas=replicas,
         evacuate=evacuate,
-        track_links=track_links,
         instrument=instrument,
     ).run()

@@ -12,8 +12,9 @@ set of dead nodes and dead *directed* links:
 * when no surviving route exists the router *reports* the pair as
   unreachable (``None``) instead of raising deep inside a replay loop.
 
-Routes are cached per ``(src, dst)`` — a router instance is bound to one
-fault epoch (one window's structural-fault state), so caching is safe.
+Routes and their link lists are memoized per ``(src, dst)`` — a router
+instance is bound to one fault epoch (one window's structural-fault
+state), so its fault set is read-only and the memo never goes stale.
 """
 
 from __future__ import annotations
@@ -90,22 +91,46 @@ class FaultAwareRouter:
             raise TypeError(
                 f"FaultAwareRouter supports mesh/torus topologies, got {topology!r}"
             )
-        self.topology = topology
-        self.dead_nodes = frozenset(int(p) for p in dead_nodes)
-        self.dead_links = frozenset((int(a), int(b)) for a, b in dead_links)
-        for pid in self.dead_nodes:
+        self._topology = topology
+        self._dead_nodes = frozenset(int(p) for p in dead_nodes)
+        self._dead_links = frozenset((int(a), int(b)) for a, b in dead_links)
+        for pid in self._dead_nodes:
             topology._check_pid(pid)
-        for a, b in self.dead_links:
+        for a, b in self._dead_links:
             topology._check_pid(a)
             topology._check_pid(b)
         self._xy = XYRouter(topology)
-        self._route_cache: dict[tuple[int, int], list[int] | None] = {}
+        # (src, dst) -> (route, links), or None when unreachable
+        self._memo: dict[tuple[int, int], tuple[list[int], list[Link]] | None] = {}
+
+    # the memo is only valid for one fault set, so the set is read-only
+
+    @property
+    def topology(self) -> Topology:
+        return self._topology
+
+    @property
+    def dead_nodes(self) -> frozenset[int]:
+        return self._dead_nodes
+
+    @property
+    def dead_links(self) -> frozenset[Link]:
+        return self._dead_links
 
     @property
     def has_faults(self) -> bool:
-        return bool(self.dead_nodes or self.dead_links)
+        return bool(self._dead_nodes or self._dead_links)
 
     # -- routing ---------------------------------------------------------------
+
+    def _lookup(self, src: int, dst: int) -> tuple[list[int], list[Link]] | None:
+        key = (src, dst)
+        if key not in self._memo:
+            path = self._compute_route(src, dst)
+            self._memo[key] = (
+                None if path is None else (path, list(zip(path[:-1], path[1:])))
+            )
+        return self._memo[key]
 
     def route(self, src: int, dst: int) -> list[int] | None:
         """Pids visited from ``src`` to ``dst`` on the surviving mesh.
@@ -113,16 +138,34 @@ class FaultAwareRouter:
         Returns ``None`` when the pair is unreachable (either endpoint is
         dead, or faults partition the mesh between them).
         """
-        key = (src, dst)
-        if key not in self._route_cache:
-            self._route_cache[key] = self._compute_route(src, dst)
-        return self._route_cache[key]
+        hit = self._lookup(src, dst)
+        return None if hit is None else hit[0]
+
+    def links(self, src: int, dst: int) -> list[Link] | None:
+        """Directed links traversed, or ``None`` when unreachable.
+
+        Memoized per pair: the returned list is shared, so do not mutate it.
+        """
+        hit = self._lookup(src, dst)
+        return None if hit is None else hit[1]
+
+    def hop_count(self, src: int, dst: int) -> int | None:
+        """Surviving-route hop count, or ``None`` when unreachable."""
+        hit = self._lookup(src, dst)
+        return None if hit is None else len(hit[1])
+
+    def reachable(self, src: int, dst: int) -> bool:
+        return self._lookup(src, dst) is not None
+
+    def unreachable_pairs(self, pairs) -> list[tuple[int, int]]:
+        """The subset of ``(src, dst)`` pairs with no surviving route."""
+        return [(s, d) for s, d in pairs if not self.reachable(s, d)]
 
     def _compute_route(self, src: int, dst: int) -> list[int] | None:
-        topo = self.topology
+        topo = self._topology
         topo._check_pid(src)
         topo._check_pid(dst)
-        if src in self.dead_nodes or dst in self.dead_nodes:
+        if src in self._dead_nodes or dst in self._dead_nodes:
             return None
         if src == dst:
             return [src]
@@ -162,26 +205,3 @@ class FaultAwareRouter:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-    # -- derived queries -------------------------------------------------------
-
-    def links(self, src: int, dst: int) -> list[Link] | None:
-        """Directed links traversed, or ``None`` when unreachable."""
-        path = self.route(src, dst)
-        if path is None:
-            return None
-        return list(zip(path[:-1], path[1:]))
-
-    def hop_count(self, src: int, dst: int) -> int | None:
-        """Surviving-route hop count, or ``None`` when unreachable."""
-        path = self.route(src, dst)
-        if path is None:
-            return None
-        return len(path) - 1
-
-    def reachable(self, src: int, dst: int) -> bool:
-        return self.route(src, dst) is not None
-
-    def unreachable_pairs(self, pairs) -> list[tuple[int, int]]:
-        """The subset of ``(src, dst)`` pairs with no surviving route."""
-        return [(s, d) for s, d in pairs if not self.reachable(s, d)]

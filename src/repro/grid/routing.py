@@ -5,7 +5,8 @@ first travels along the x axis (columns) to the destination column, then
 along the y axis (rows).  The analytic cost model only needs the hop
 *count* (Manhattan distance), but the replay simulator (``repro.sim``)
 routes hop-by-hop to account per-link traffic, so we materialize the
-actual paths here.
+actual paths here.  A router instance memoizes the link list of every
+pair it has routed; callers treat those lists as read-only.
 
 Links are directed and identified as ``(from_pid, to_pid)`` tuples between
 adjacent processors.
@@ -13,7 +14,7 @@ adjacent processors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .extended_topologies import Mesh3D, WeightedMesh2D
 from .topology import Mesh1D, Mesh2D, Topology, Torus2D
@@ -97,6 +98,9 @@ class XYRouter:
     """
 
     topology: Topology
+    _links: dict[tuple[int, int], list[Link]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not isinstance(
@@ -132,9 +136,15 @@ class XYRouter:
         return path
 
     def links(self, src: int, dst: int) -> list[Link]:
-        """Directed links traversed from ``src`` to ``dst`` (may be empty)."""
-        path = self.route(src, dst)
-        return list(zip(path[:-1], path[1:]))
+        """Directed links traversed from ``src`` to ``dst`` (may be empty).
+
+        Memoized per pair: the returned list is shared, so do not mutate it.
+        """
+        links = self._links.get((src, dst))
+        if links is None:
+            path = self.route(int(src), int(dst))
+            links = self._links[src, dst] = list(zip(path[:-1], path[1:]))
+        return links
 
     def hop_count(self, src: int, dst: int) -> int:
         """Number of physical hops of the x-y route.
@@ -143,4 +153,4 @@ class XYRouter:
         :class:`~repro.grid.WeightedMesh2D` the metric additionally
         weights each hop by its axis cost.
         """
-        return len(self.route(src, dst)) - 1
+        return len(self.links(src, dst))

@@ -217,7 +217,7 @@ class ReplayCursor:
     discovered so far, not the full ground-truth plan).  An empty plan
     takes the vectorized fault-free path; any non-empty plan takes the
     degraded per-event path.  ``on_unreachable``/``on_stranded`` are the
-    degraded path's recovery hooks (see :func:`_execute_faulted_window`);
+    degraded path's recovery hooks (see :meth:`_execute_faulted_window`);
     ``spatial`` is an optional :class:`~repro.obs.SpatialRecorder` every
     executed transfer is charged to (the caller closes its windows).
     """
@@ -266,11 +266,8 @@ class ReplayCursor:
             event_windows[self._order], np.arange(self.n_windows + 1)
         )
         self.window = 0
-        self._router = (
-            XYRouter(model.topology)
-            if track_links or spatial is not None
-            else None
-        )
+        # routes lazily: a dark healthy replay never asks it for links
+        self._router = XYRouter(model.topology)
         self.schedule = schedule
         self.faults = FaultPlan()
         self.injector: FaultInjector | None = None
@@ -328,24 +325,12 @@ class ReplayCursor:
         hops = 0.0
         if self.injector is None:
             if w > 0:
-                _relocate_for_window(
-                    self.machine, self.schedule, self.model, w, self.report,
-                    self._router, self.track_links, self.spatial,
-                )
-            hops = _serve_window_plain(
-                self.machine, self.schedule, self.trace, self.model, w, idx,
-                self.report, self._router, self.track_links, self.spatial,
-            )
+                self._relocate_for_window(w)
+            hops = self._serve_window_plain(w, idx)
             # a healthy array delivers every fetch it serves
             self.report.n_delivered += int(len(idx))
         else:
-            _execute_faulted_window(
-                self.machine, self.schedule, self.trace, self.model, w, idx,
-                self.report, self.injector, self.retry, self.evacuate,
-                self.track_links, self.spatial,
-                on_unreachable=self.on_unreachable,
-                on_stranded=self.on_stranded,
-            )
+            self._execute_faulted_window(w, idx)
         self.window = w + 1
         return hops
 
@@ -362,6 +347,236 @@ class ReplayCursor:
                 f"replay incomplete: {self.window}/{self.n_windows} windows"
             )
         return self.report
+
+    # -- transfers -----------------------------------------------------------
+
+    def _charge(self, w: int, links, volume: float) -> None:
+        """Charge one routed transfer to the link accumulators that are on."""
+        if self.track_links:
+            self.report.add_link_traffic(links, volume)
+        if self.spatial is not None:
+            self.spatial.record(w, links, volume)
+
+    def _serve_window_plain(self, w: int, idx: np.ndarray) -> float:
+        """Serve window ``w``'s fetches on a healthy array (vectorized).
+
+        The single source of truth for fault-free fetch accounting.
+        Returns the window's unweighted fetch hops.  Each fetch is routed
+        only when ``track_links`` or ``spatial`` asks for its links.
+        """
+        trace, model, report = self.trace, self.model, self.report
+        procs = trace.procs[idx]
+        data = trace.data[idx]
+        counts = trace.counts[idx]
+        centers = self.machine.locations()[data]
+        expected = self.schedule.centers[data, w]
+        diverged = np.nonzero(centers != expected)[0]
+        if len(diverged):
+            i = int(diverged[0])
+            raise ResidencyError(
+                f"machine residency diverged from the schedule: datum "
+                f"{int(data[i])} resides at {int(centers[i])}, "
+                f"scheduled at {int(expected[i])}",
+                datum=int(data[i]),
+                claimed=int(expected[i]),
+                actual=int(centers[i]),
+                window=w,
+            )
+        vols = (
+            np.ones(len(idx))
+            if model.volumes is None
+            else np.asarray(model.volumes)[data]
+        )
+        hops = model.distances[centers, procs] * counts
+        hop_costs = hops * vols
+        report.reference_cost += float(hop_costs.sum())
+        report.per_window_cost[w] += float(hop_costs.sum())
+        report.n_fetches += int(len(idx))
+        report.n_local_fetches += int((centers == procs).sum())
+        if self.track_links or self.spatial is not None:
+            for c, p, volume in zip(centers, procs, counts * vols):
+                if c != p:
+                    self._charge(
+                        w, self._router.links(int(c), int(p)), float(volume)
+                    )
+        return float(hops.sum())
+
+    def _relocate_for_window(self, w: int) -> None:
+        """Perform all movements into window ``w`` and charge their cost."""
+        model, report = self.model, self.report
+        prev_centers = self.schedule.centers[:, w - 1]
+        next_centers = self.schedule.centers[:, w]
+        moved = np.nonzero(prev_centers != next_centers)[0]
+        self.machine.relocate_batch(moved, next_centers[moved])
+        for d in moved:
+            src, dst = int(prev_centers[d]), int(next_centers[d])
+            volume = model.volume(int(d))
+            cost = float(model.distances[src, dst]) * volume
+            report.movement_cost += cost
+            report.per_window_cost[w] += cost
+            report.n_moves += 1
+            if self.track_links or self.spatial is not None:
+                self._charge(w, self._router.links(src, dst), volume)
+
+    def _execute_faulted_window(self, w: int, idx: np.ndarray) -> None:
+        """Execute one window of a degraded replay (evacuate, move, fetch).
+
+        The two optional hooks are the seams the ``replicate`` recovery
+        mode plugs into:
+
+        * ``on_unreachable(w, datum, proc, router, alive)`` may return
+          the links of a replica fetch for a reference whose primary
+          center is unreachable; the cursor serves it like any fetch,
+          and ``None`` records the reference as unreachable;
+        * ``on_stranded(datum, src, w)`` may salvage a datum evacuation
+          could not place; return ``True`` to suppress the loss record.
+        """
+        trace, model, report = self.trace, self.model, self.report
+        router = self.injector.router(w)
+        alive = self.injector.alive_mask(w)
+
+        newly_down = self.injector.newly_down(w)
+        if newly_down:
+            if self.evacuate:
+                self._evacuate_nodes(w, newly_down)
+            else:
+                for pid in newly_down:
+                    report.n_lost += len(self.machine.residents(pid))
+
+        if w > 0:
+            self._relocate_degraded(w, alive, router)
+
+        locations = self.machine.locations()
+        for i in idx:
+            i = int(i)
+            p = int(trace.procs[i])
+            d = int(trace.data[i])
+            volume = float(trace.counts[i]) * model.volume(d)
+            center = int(locations[d])
+            report.n_fetches += 1
+            links = None
+            if alive[p] and alive[center]:
+                links = router.links(center, p)
+            if links is None and self.on_unreachable is not None:
+                links = self.on_unreachable(w, d, p, router, alive)
+            if links is None:
+                self._record_unreachable()
+            else:
+                self._attempt_fetch(w, i, links, volume)
+
+    def _record_unreachable(self) -> None:
+        """A reference whose center cannot be reached at all: the requester
+        burns its full timeout/backoff budget, then gives up."""
+        self.report.n_unreachable += 1
+        self.report.n_retries += self.retry.max_retries
+        self.report.retry_wait_cycles += self.retry.total_timeout_cycles()
+
+    def _attempt_fetch(self, w: int, event: int, links, volume: float) -> None:
+        """Deliver one fetch over ``links``, retrying transient drops."""
+        report, retry = self.report, self.retry
+        hops = len(links)
+        if hops == 0:
+            # local memory access: no wire, nothing to drop
+            report.n_local_fetches += 1
+            report.n_delivered += 1
+            return
+        for attempt in range(retry.max_attempts):
+            dropped = self.injector.drops(w, event, attempt)
+            # the message occupies the wires whether or not it survives
+            self._charge(w, links, volume)
+            if not dropped:
+                cost = hops * volume
+                report.reference_cost += cost
+                report.per_window_cost[w] += cost
+                report.n_delivered += 1
+                return
+            report.retry_cost += hops * volume
+            report.retry_wait_cycles += retry.wait_cycles(attempt)
+            if attempt < retry.max_retries:
+                report.n_retries += 1
+        report.n_dropped += 1
+
+    def _evacuate_nodes(self, w: int, newly_down: frozenset[int]) -> None:
+        """Relocate every resident of the just-failed nodes to survivors.
+
+        Victims go to their scheduled center for window ``w`` when it is
+        alive with headroom, otherwise to the nearest surviving node with
+        a free slot; relocation traffic is charged to ``evacuation_cost``
+        at the surviving-route hop count.  ``on_stranded(datum, src, w)``
+        may salvage a victim no survivor can hold (replica promotion);
+        returning ``True`` suppresses the ``n_lost`` record.
+        """
+        machine, report, on_stranded = self.machine, self.report, self.on_stranded
+        capacities = (
+            None if machine.capacity is None else machine.capacity.capacities
+        )
+        locations = machine.locations()
+        moves, stranded = plan_evacuation(
+            locations,
+            machine.memory_load(),
+            capacities,
+            newly_down,
+            self.injector.alive_mask(w),
+            self.model.distances,
+            preferred=self.schedule.centers[:, w],
+        )
+        for datum in stranded:
+            if on_stranded is None or not on_stranded(
+                int(datum), int(locations[datum]), w
+            ):
+                report.n_lost += 1
+        for move in moves:
+            router = self.injector.recovery_router(w, move.src)
+            links = router.links(move.src, move.dst)
+            if links is None:
+                if on_stranded is None or not on_stranded(
+                    move.datum, move.src, w
+                ):
+                    report.n_lost += 1
+                continue
+            machine.relocate(move.datum, move.src, move.dst)
+            volume = self.model.volume(move.datum)
+            cost = len(links) * volume
+            report.evacuation_cost += cost
+            report.per_window_cost[w] += cost
+            report.n_evacuated += 1
+            self._charge(w, links, volume)
+
+    def _relocate_degraded(
+        self, w: int, alive: np.ndarray, router: FaultAwareRouter
+    ) -> None:
+        """Scheduled movements into window ``w`` on a degraded array.
+
+        A move is skipped — the datum stays put — when its source or
+        target node is dead, when faults partition the mesh between them,
+        or when the target memory is full (degraded relocation is
+        sequential, so the fault-free batch-swap guarantee does not
+        apply).
+        """
+        report = self.report
+        current = self.machine.locations()
+        targets = self.schedule.centers[:, w]
+        for d in np.nonzero(current != targets)[0]:
+            d = int(d)
+            src, dst = int(current[d]), int(targets[d])
+            if not alive[src] or not alive[dst]:
+                report.n_skipped_moves += 1
+                continue
+            links = router.links(src, dst)
+            if links is None:
+                report.n_skipped_moves += 1
+                continue
+            try:
+                self.machine.relocate(d, src, dst)
+            except CapacityError:
+                report.n_skipped_moves += 1
+                continue
+            volume = self.model.volume(d)
+            cost = len(links) * volume
+            report.movement_cost += cost
+            report.per_window_cost[w] += cost
+            report.n_moves += 1
+            self._charge(w, links, volume)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -403,319 +618,3 @@ def _spatial_recorder(obs, schedule, model, label: str | None = None):
         label=schedule.method if label is None else label,
     )
     return recorder, vols
-
-
-def _serve_window_plain(
-    machine: PIMArray,
-    schedule: Schedule,
-    trace: Trace,
-    model: CostModel,
-    w: int,
-    idx: np.ndarray,
-    report: SimReport,
-    router: XYRouter | None,
-    track_links: bool,
-    spatial: SpatialRecorder | None,
-) -> float:
-    """Serve window ``w``'s fetches on a healthy array (vectorized).
-
-    The single source of truth for fault-free fetch accounting.  Returns
-    the window's unweighted fetch hops.  ``router`` routes each fetch
-    when ``track_links`` or ``spatial`` asks for its links.
-    """
-    dist = model.distances
-    procs = trace.procs[idx]
-    data = trace.data[idx]
-    counts = trace.counts[idx]
-    centers = machine.locations()[data]
-    expected = schedule.centers[data, w]
-    diverged = np.nonzero(centers != expected)[0]
-    if len(diverged):
-        i = int(diverged[0])
-        raise ResidencyError(
-            f"machine residency diverged from the schedule: datum "
-            f"{int(data[i])} resides at {int(centers[i])}, "
-            f"scheduled at {int(expected[i])}",
-            datum=int(data[i]),
-            claimed=int(expected[i]),
-            actual=int(centers[i]),
-            window=w,
-        )
-    vols = (
-        np.ones(len(idx))
-        if model.volumes is None
-        else np.asarray(model.volumes)[data]
-    )
-    hops = dist[centers, procs] * counts
-    hop_costs = hops * vols
-    report.reference_cost += float(hop_costs.sum())
-    report.per_window_cost[w] += float(hop_costs.sum())
-    report.n_fetches += int(len(idx))
-    report.n_local_fetches += int((centers == procs).sum())
-    if track_links or spatial is not None:
-        for c, p, volume in zip(centers, procs, counts * vols):
-            if c != p:
-                links = router.links(int(c), int(p))
-                if track_links:
-                    report.add_link_traffic(links, float(volume))
-                if spatial is not None:
-                    spatial.record(w, links, float(volume))
-    return float(hops.sum())
-
-
-def _relocate_for_window(
-    machine: PIMArray,
-    schedule: Schedule,
-    model: CostModel,
-    w: int,
-    report: SimReport,
-    router: XYRouter | None,
-    track_links: bool,
-    spatial: SpatialRecorder | None,
-) -> None:
-    """Perform all movements into window ``w`` and charge their cost."""
-    prev_centers = schedule.centers[:, w - 1]
-    next_centers = schedule.centers[:, w]
-    moved = np.nonzero(prev_centers != next_centers)[0]
-    dist = model.distances
-    machine.relocate_batch(moved, next_centers[moved])
-    for d in moved:
-        src, dst = int(prev_centers[d]), int(next_centers[d])
-        volume = model.volume(int(d))
-        cost = float(dist[src, dst]) * volume
-        report.movement_cost += cost
-        report.per_window_cost[w] += cost
-        report.n_moves += 1
-        if track_links or spatial is not None:
-            links = router.links(src, dst)
-            if track_links:
-                report.add_link_traffic(links, volume)
-            if spatial is not None:
-                spatial.record(w, links, volume)
-
-
-def _execute_faulted_window(
-    machine: PIMArray,
-    schedule: Schedule,
-    trace: Trace,
-    model: CostModel,
-    w: int,
-    idx: np.ndarray,
-    report: SimReport,
-    injector: FaultInjector,
-    retry: RetryPolicy,
-    evacuate: bool,
-    track_links: bool,
-    spatial: SpatialRecorder | None = None,
-    on_unreachable=None,
-    on_stranded=None,
-) -> None:
-    """Execute one window of a degraded replay (evacuate, move, fetch).
-
-    The two optional hooks are the seams the ``replicate`` recovery
-    mode plugs into:
-
-    * ``on_unreachable(w, event, datum, proc, volume, router, alive)``
-      may serve a fetch whose primary center is unreachable from a
-      replica copy; return ``True`` to suppress the unreachable record;
-    * ``on_stranded(datum, src, w)`` may salvage a datum evacuation
-      could not place; return ``True`` to suppress the loss record.
-    """
-    router = injector.router(w)
-    alive = injector.alive_mask(w)
-
-    newly_down = injector.newly_down(w)
-    if newly_down:
-        if evacuate:
-            _evacuate_nodes(
-                machine, schedule, model, injector, w, newly_down,
-                report, track_links, spatial, on_stranded=on_stranded,
-            )
-        else:
-            for pid in newly_down:
-                report.n_lost += len(machine.residents(pid))
-
-    if w > 0:
-        _relocate_degraded(
-            machine, schedule, model, w, alive, router, report,
-            track_links, spatial,
-        )
-
-    locations = machine.locations()
-    for i in idx:
-        i = int(i)
-        p = int(trace.procs[i])
-        d = int(trace.data[i])
-        volume = float(trace.counts[i]) * model.volume(d)
-        center = int(locations[d])
-        report.n_fetches += 1
-        if not alive[p] or not alive[center]:
-            if on_unreachable is None or not on_unreachable(
-                w, i, d, p, volume, router, alive
-            ):
-                _record_unreachable(report, retry)
-            continue
-        route = router.route(center, p)
-        if route is None:
-            if on_unreachable is None or not on_unreachable(
-                w, i, d, p, volume, router, alive
-            ):
-                _record_unreachable(report, retry)
-            continue
-        _attempt_fetch(
-            report, retry, injector, w, i, route, volume,
-            track_links, spatial,
-        )
-
-
-def _record_unreachable(report: SimReport, retry: RetryPolicy) -> None:
-    """A reference whose center cannot be reached at all: the requester
-    burns its full timeout/backoff budget, then gives up."""
-    report.n_unreachable += 1
-    report.n_retries += retry.max_retries
-    report.retry_wait_cycles += retry.total_timeout_cycles()
-
-
-def _attempt_fetch(
-    report: SimReport,
-    retry: RetryPolicy,
-    injector: FaultInjector,
-    window: int,
-    event: int,
-    route: list[int],
-    volume: float,
-    track_links: bool,
-    spatial: SpatialRecorder | None = None,
-) -> None:
-    """Deliver one fetch over ``route``, retrying transient drops."""
-    hops = len(route) - 1
-    if hops == 0:
-        # local memory access: no wire, nothing to drop
-        report.n_local_fetches += 1
-        report.n_delivered += 1
-        return
-    links = list(zip(route[:-1], route[1:]))
-    for attempt in range(retry.max_attempts):
-        dropped = injector.drops(window, event, attempt)
-        if track_links:
-            # the message occupies the wires whether or not it survives
-            report.add_link_traffic(links, volume)
-        if spatial is not None:
-            spatial.record(window, links, volume)
-        if not dropped:
-            cost = hops * volume
-            report.reference_cost += cost
-            report.per_window_cost[window] += cost
-            report.n_delivered += 1
-            return
-        report.retry_cost += hops * volume
-        report.retry_wait_cycles += retry.wait_cycles(attempt)
-        if attempt < retry.max_retries:
-            report.n_retries += 1
-    report.n_dropped += 1
-
-
-def _evacuate_nodes(
-    machine: PIMArray,
-    schedule: Schedule,
-    model: CostModel,
-    injector: FaultInjector,
-    w: int,
-    newly_down: frozenset[int],
-    report: SimReport,
-    track_links: bool,
-    spatial: SpatialRecorder | None = None,
-    on_stranded=None,
-) -> None:
-    """Relocate every resident of the just-failed nodes to survivors.
-
-    Victims go to their scheduled center for window ``w`` when it is
-    alive with headroom, otherwise to the nearest surviving node with a
-    free slot; relocation traffic is charged to ``evacuation_cost`` at
-    the surviving-route hop count.  ``on_stranded(datum, src, w)`` may
-    salvage a victim no survivor can hold (replica promotion); returning
-    ``True`` suppresses the ``n_lost`` record.
-    """
-    capacities = None if machine.capacity is None else machine.capacity.capacities
-    locations = machine.locations()
-    moves, stranded = plan_evacuation(
-        locations,
-        machine.memory_load(),
-        capacities,
-        newly_down,
-        injector.alive_mask(w),
-        model.distances,
-        preferred=schedule.centers[:, w],
-    )
-    for datum in stranded:
-        if on_stranded is None or not on_stranded(
-            int(datum), int(locations[datum]), w
-        ):
-            report.n_lost += 1
-    for move in moves:
-        router = injector.recovery_router(w, move.src)
-        route = router.route(move.src, move.dst)
-        if route is None:
-            if on_stranded is None or not on_stranded(move.datum, move.src, w):
-                report.n_lost += 1
-            continue
-        machine.relocate(move.datum, move.src, move.dst)
-        volume = model.volume(move.datum)
-        cost = (len(route) - 1) * volume
-        report.evacuation_cost += cost
-        report.per_window_cost[w] += cost
-        report.n_evacuated += 1
-        if track_links or spatial is not None:
-            links = list(zip(route[:-1], route[1:]))
-            if track_links:
-                report.add_link_traffic(links, volume)
-            if spatial is not None:
-                spatial.record(w, links, volume)
-
-
-def _relocate_degraded(
-    machine: PIMArray,
-    schedule: Schedule,
-    model: CostModel,
-    w: int,
-    alive: np.ndarray,
-    router: FaultAwareRouter,
-    report: SimReport,
-    track_links: bool,
-    spatial: SpatialRecorder | None = None,
-) -> None:
-    """Scheduled movements into window ``w`` on a degraded array.
-
-    A move is skipped — the datum stays put — when its source or target
-    node is dead, when faults partition the mesh between them, or when
-    the target memory is full (degraded relocation is sequential, so the
-    fault-free batch-swap guarantee does not apply).
-    """
-    current = machine.locations()
-    targets = schedule.centers[:, w]
-    for d in np.nonzero(current != targets)[0]:
-        d = int(d)
-        src, dst = int(current[d]), int(targets[d])
-        if not alive[src] or not alive[dst]:
-            report.n_skipped_moves += 1
-            continue
-        route = router.route(src, dst)
-        if route is None:
-            report.n_skipped_moves += 1
-            continue
-        try:
-            machine.relocate(d, src, dst)
-        except CapacityError:
-            report.n_skipped_moves += 1
-            continue
-        volume = model.volume(d)
-        cost = (len(route) - 1) * volume
-        report.movement_cost += cost
-        report.per_window_cost[w] += cost
-        report.n_moves += 1
-        if track_links or spatial is not None:
-            links = list(zip(route[:-1], route[1:]))
-            if track_links:
-                report.add_link_traffic(links, volume)
-            if spatial is not None:
-                spatial.record(w, links, volume)

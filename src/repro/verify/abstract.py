@@ -110,23 +110,6 @@ class StaticPrediction:
         }
 
 
-class _RouteCache:
-    """Memoized link lists for a router (x-y routes are static per pair)."""
-
-    def __init__(self, router):
-        self._router = router
-        self._cache: dict[tuple[int, int], list[Link] | None] = {}
-
-    def links(self, src: int, dst: int) -> list[Link] | None:
-        pair = (src, dst)
-        if pair not in self._cache:
-            route = self._router.route(src, dst)
-            self._cache[pair] = (
-                None if route is None else list(zip(route[:-1], route[1:]))
-            )
-        return self._cache[pair]
-
-
 def _live_ranges(centers: np.ndarray) -> list[list[tuple[int, int, int]]]:
     """Run-length encode each datum's center row into residency intervals."""
     ranges: list[list[tuple[int, int, int]]] = []
@@ -242,14 +225,14 @@ def _interpret_fault_free(
     movement_cost = 0.0
     n_moves = 0
     window_links: list[dict[Link, float]] = [{} for _ in range(n_windows)]
-    cache = _RouteCache(XYRouter(model.topology))
+    router = XYRouter(model.topology)
 
     # fetch traffic, link by link (exact under deterministic x-y routing)
     for d, w, p in zip(*np.nonzero(counts)):
         c = int(centers[d, w])
         if c == int(p):
             continue
-        links = cache.links(c, int(p))
+        links = router.links(c, int(p))
         _add_links(window_links[w], links, float(counts[d, w, p]) * vols[d])
 
     # movement traffic and cost, charged to the window moved *into*
@@ -260,7 +243,7 @@ def _interpret_fault_free(
         movement_cost += cost
         per_window[w] += cost
         n_moves += 1
-        _add_links(window_links[w], cache.links(src, dst), volume)
+        _add_links(window_links[w], router.links(src, dst), volume)
 
     _check_dead_movements(schedule, tensor, model, diagnostics)
 
@@ -326,7 +309,6 @@ def _interpret_faulted(
     loc = schedule.initial_placement()
     for w in range(n_windows):
         router = injector.router(w)
-        cache = _RouteCache(router)
         alive = injector.alive_mask(w)
 
         newly_down = injector.newly_down(w)
@@ -337,7 +319,7 @@ def _interpret_faulted(
             )
         if w > 0:
             _model_relocation(
-                pred, centers, w, alive, cache, loc, vols, diagnostics
+                pred, centers, w, alive, router, loc, vols, diagnostics
             )
 
         pred.occupancy[w] = np.bincount(loc, minlength=n_procs)
@@ -353,7 +335,7 @@ def _interpret_faulted(
                 pred.n_unreachable += 1
                 pred.n_retries += retry.max_retries
                 continue
-            links = cache.links(center, p)
+            links = router.links(center, p)
             if links is None:
                 pred.n_unreachable += 1
                 pred.n_retries += retry.max_retries
@@ -367,7 +349,7 @@ def _model_evacuation(
     pred, schedule, model, injector, w, newly_down, loc, vols, dist,
     diagnostics,
 ):
-    """Mirror :func:`repro.sim.replay._evacuate_nodes` (unbounded memory)."""
+    """Mirror :meth:`repro.sim.ReplayCursor._evacuate_nodes` (unbounded memory)."""
     moves, stranded = plan_evacuation(
         loc,
         np.bincount(loc, minlength=model.n_procs),
@@ -395,8 +377,8 @@ def _model_evacuation(
             ),
         )
     for move in moves:
-        route = injector.recovery_router(w, move.src).route(move.src, move.dst)
-        if route is None:
+        links = injector.recovery_router(w, move.src).links(move.src, move.dst)
+        if links is None:
             pred.n_lost += 1
             _emit(
                 diagnostics,
@@ -415,23 +397,21 @@ def _model_evacuation(
             continue
         loc[move.datum] = move.dst
         volume = float(vols[move.datum])
-        cost = (len(route) - 1) * volume
+        cost = len(links) * volume
         pred.evacuation_cost += cost
         pred.per_window_cost[w] += cost
         pred.n_evacuated += 1
-        _add_links(
-            pred.window_links[w], list(zip(route[:-1], route[1:])), volume
-        )
+        _add_links(pred.window_links[w], links, volume)
 
 
-def _model_relocation(pred, centers, w, alive, cache, loc, vols, diagnostics):
-    """Mirror :func:`repro.sim.replay._relocate_degraded` (no capacity)."""
+def _model_relocation(pred, centers, w, alive, router, loc, vols, diagnostics):
+    """Mirror :meth:`repro.sim.ReplayCursor._relocate_degraded` (no capacity)."""
     for d in np.nonzero(loc != centers[:, w])[0]:
         d = int(d)
         src, dst = int(loc[d]), int(centers[d, w])
         links = None
         if alive[src] and alive[dst]:
-            links = cache.links(src, dst)
+            links = router.links(src, dst)
         if links is None:
             pred.n_skipped_moves += 1
             _emit(
@@ -463,7 +443,7 @@ def _model_relocation(pred, centers, w, alive, cache, loc, vols, diagnostics):
 
 
 def _model_fetch(pred, injector, retry, w, event, links, volume):
-    """Mirror :func:`repro.sim.replay._attempt_fetch` (deterministic drops)."""
+    """Mirror :meth:`repro.sim.ReplayCursor._attempt_fetch` (deterministic drops)."""
     hops = len(links)
     if hops == 0:
         pred.n_local_fetches += 1

@@ -7,13 +7,14 @@ the abstract interpreter (:mod:`.abstract`), the analytic evaluator
 interpreter routes links, the evaluator gathers a distance matrix, the
 simulator executes a machine model — so agreement between all three is
 strong evidence the whole stack is consistent, and *any* divergence
-means one of them is wrong.  This module runs the replay with spatial
-telemetry and compares:
+means one of them is wrong.  This module steps a bare
+:class:`~repro.sim.ReplayCursor` with a
+:class:`~repro.obs.SpatialRecorder` attached and compares:
 
 * cost totals (``VER008``): static vs analytic vs replayed, including
   the per-window series and the degraded-mode buckets under faults;
 * per-window per-link volumes (``VER009``): the interpreter's x-y
-  traffic against the replay's :class:`~repro.obs.SpatialTrace` — these
+  traffic against the link volumes the replay's recorder charged — these
   must agree to the bit for integer-valued volumes;
 * delivery accounting (``VER010``): fetch/local/move/evacuation/retry
   counters and the delivered + dropped + unreachable == fetches
@@ -29,8 +30,8 @@ from ..diagnostics import VER008, VER009, VER010, Diagnostic, Severity
 from ..faults import FaultPlan, RetryPolicy
 from ..grid import link_key
 from ..mem import CapacityPlan
-from ..obs import Instrumentation
-from ..sim import replay_schedule
+from ..obs import SpatialRecorder
+from ..sim import ReplayCursor
 from ..trace import ReferenceTensor, Trace
 from .abstract import MAX_DIAGNOSTICS_PER_CHECK, StaticPrediction, _emit
 
@@ -65,17 +66,18 @@ def run_differential(
     diagnostics: list[Diagnostic] = []
     faulted = faults is not None and not faults.is_empty
 
-    instr = Instrumentation.started(spatial=True)
-    report = replay_schedule(
+    spatial = SpatialRecorder(
+        model.topology, schedule.n_windows, label=schedule.method
+    )
+    report = ReplayCursor(
         trace,
         schedule,
         model,
         capacity=None if faulted else capacity,
         faults=faults,
         retry=retry,
-        instrument=instr,
-    )
-    spatial = instr.spatial.traces[-1] if instr.spatial.traces else None
+        spatial=spatial,
+    ).run()
 
     facts = {
         "replay": report.to_dict(),
@@ -84,8 +86,9 @@ def run_differential(
 
     _compare_costs(prediction, report, schedule, tensor, model, faulted,
                    diagnostics, facts)
-    if spatial is not None:
-        _compare_links(prediction, spatial, model.topology, diagnostics)
+    _compare_links(
+        prediction, spatial.window_links, model.topology, diagnostics
+    )
     _compare_accounting(prediction, report, trace, faulted, diagnostics)
     return diagnostics, facts
 
@@ -175,9 +178,9 @@ def _compare_costs(
         )
 
 
-def _compare_links(prediction, spatial, topology, diagnostics):
-    """VER009: static x-y traffic must equal the SpatialTrace, bit for bit."""
-    n_windows = max(len(prediction.window_links), spatial.n_windows)
+def _compare_links(prediction, replayed_links, topology, diagnostics):
+    """VER009: static x-y traffic must equal the replayed, bit for bit."""
+    n_windows = max(len(prediction.window_links), len(replayed_links))
     emitted = 0
     for w in range(n_windows):
         static_links = (
@@ -185,9 +188,7 @@ def _compare_links(prediction, spatial, topology, diagnostics):
             if w < len(prediction.window_links)
             else {}
         )
-        dynamic_links = (
-            spatial.window_links[w] if w < spatial.n_windows else {}
-        )
+        dynamic_links = replayed_links[w] if w < len(replayed_links) else {}
         for link in sorted(set(static_links) | set(dynamic_links)):
             lhs = static_links.get(link, 0.0)
             rhs = dynamic_links.get(link, 0.0)

@@ -6,9 +6,20 @@ import json
 import pytest
 
 from repro.analysis import ChaosReport, ChaosScenario, run_chaos_campaign
-from repro.analysis.chaos import CAMPAIGN_MODES, EXIT_VIOLATION
+from repro.analysis.chaos import CAMPAIGN_MODES, EXIT_VIOLATION, _check_invariants
 from repro.cli import main
-from repro.diagnostics import RCV004, Diagnostic, Severity
+from repro.core import CostModel, gomcds
+from repro.diagnostics import RCV001, RCV004, Diagnostic, Severity
+from repro.faults import (
+    FaultPlan,
+    NodeFault,
+    RecoveryPolicy,
+    RecoveryReport,
+    replay_with_recovery,
+)
+from repro.grid import structural_neighbors
+from repro.mem import CapacityError
+from repro.sim import PIMArray
 
 STRUCTURAL = (
     "index", "seed", "mode", "n_node_faults", "n_link_faults", "drop_rate",
@@ -150,3 +161,76 @@ class TestCli:
         assert main(["chaos", "--seed", "7", "--scenarios", "1"]) == 3
         captured = capsys.readouterr()
         assert "violation" in captured.err.lower()
+
+
+class TestSilentLoss:
+    """RCV001(b) flags only the losses a surviving replica could prevent."""
+
+    @pytest.fixture
+    def cut_off(self, lu8, mesh44):
+        # kill a processor holding data together with every neighbour, so
+        # its residents have no surviving route out
+        model = CostModel(mesh44)
+        tensor = lu8.reference_tensor()
+        schedule = gomcds(tensor, model)
+        victim = int(schedule.centers[0, 0])
+        dead = {victim, *structural_neighbors(mesh44, victim)}
+        alive_site = min(set(mesh44.iter_pids()) - dead)
+        plan = FaultPlan(node_faults=tuple(NodeFault(p, start=0) for p in dead))
+        on_victim = schedule.centers[:, 0] == victim
+        return lu8, tensor, model, schedule, plan, victim, alive_site, on_victim
+
+    @staticmethod
+    def recover(lu8, tensor, model, schedule, plan, replicas):
+        policy = RecoveryPolicy(
+            mode="replicate", checkpoint_interval=2, reschedule=False
+        )
+        rep = replay_with_recovery(
+            lu8.trace, schedule, model, plan, tensor=tensor, policy=policy,
+            replicas=replicas,
+        )
+        return rep, _check_invariants(1, "replicate", rep, policy, None)
+
+    def test_loss_of_every_copy_is_accounted_not_flagged(self, cut_off):
+        lu8, tensor, model, schedule, plan, victim, _, on_victim = cut_off
+        neighbour = structural_neighbors(model.topology, victim)[0]
+        replicas = tuple(
+            (victim, neighbour) if here else (int(c),)
+            for here, c in zip(on_victim, schedule.centers[:, 0])
+        )
+        rep, violations = self.recover(
+            lu8, tensor, model, schedule, plan, replicas
+        )
+        assert rep.recoverable
+        assert rep.sim.n_lost >= int(on_victim.sum()) > 0
+        assert rep.n_avoidable_lost == 0
+        assert rep.n_degraded_lost > 0
+        assert not [v for v in violations if v.code == RCV001]
+
+    def test_failed_promotion_with_a_live_replica_is_flagged(
+        self, cut_off, monkeypatch
+    ):
+        lu8, tensor, model, schedule, plan, victim, site, on_victim = cut_off
+        replicas = tuple(
+            (victim, site) if here else (int(c),)
+            for here, c in zip(on_victim, schedule.centers[:, 0])
+        )
+        relocate = PIMArray.relocate
+
+        def full_site(machine, datum, src, dst):
+            if src == victim and dst == site:
+                raise CapacityError(f"processor {site} is full")
+            return relocate(machine, datum, src, dst)
+
+        monkeypatch.setattr(PIMArray, "relocate", full_site)
+        rep, violations = self.recover(
+            lu8, tensor, model, schedule, plan, replicas
+        )
+        assert rep.recoverable
+        assert rep.n_avoidable_lost == int(on_victim.sum())
+        assert rep.n_replica_promoted == 0
+        assert [v.code for v in violations if v.code == RCV001] == [RCV001]
+        assert "live replica" in violations[0].message
+        # the count survives serialization (the key exists only when set)
+        clone = RecoveryReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        assert clone.n_avoidable_lost == rep.n_avoidable_lost

@@ -6,6 +6,9 @@ from repro.grid import (
     FaultAwareRouter,
     Mesh1D,
     Mesh2D,
+    Mesh3D,
+    Torus2D,
+    WeightedMesh2D,
     XYRouter,
     mesh_links,
     structural_neighbors,
@@ -116,3 +119,49 @@ class TestRouting:
     def test_rejects_out_of_range_dead_node(self, mesh44):
         with pytest.raises(ValueError):
             FaultAwareRouter(mesh44, dead_nodes={99})
+
+
+#: (topology, dead nodes, dead links): every supported topology, with a
+#: fault set that forces detours and cuts some pairs off
+FAULTED = {
+    "mesh1d": (Mesh1D(5), {2}, ()),
+    "mesh2d": (Mesh2D(4, 4), {5}, {(0, 1), (10, 11)}),
+    "torus2d": (Torus2D(4, 4), {1, 6}, {(12, 0)}),
+    "mesh3d": (Mesh3D(2, 2, 3), {4}, {(0, 1)}),
+    "weighted2d": (
+        WeightedMesh2D(3, 3, row_weight=2, col_weight=1), {4}, {(0, 3)}
+    ),
+}
+
+
+class TestMemo:
+    @pytest.mark.parametrize("name", sorted(FAULTED))
+    def test_memo_equals_a_fresh_router(self, name):
+        topo, dead_nodes, dead_links = FAULTED[name]
+        memo = FaultAwareRouter(topo, dead_nodes, dead_links)
+        pairs = [(s, d) for s in topo.iter_pids() for d in topo.iter_pids()]
+        for _ in range(2):  # first call fills the memo, the second reads it
+            for src, dst in pairs:
+                fresh = FaultAwareRouter(topo, dead_nodes, dead_links)
+                assert memo.links(src, dst) == fresh.links(src, dst)
+                fresh = FaultAwareRouter(topo, dead_nodes, dead_links)
+                assert memo.route(src, dst) == fresh.route(src, dst)
+                fresh = FaultAwareRouter(topo, dead_nodes, dead_links)
+                assert memo.hop_count(src, dst) == fresh.hop_count(src, dst)
+                fresh = FaultAwareRouter(topo, dead_nodes, dead_links)
+                assert memo.reachable(src, dst) == fresh.reachable(src, dst)
+        # the fault set really detours some pairs and cuts others off
+        assert any(memo.route(s, d) is None for s, d in pairs)
+
+    def test_route_and_links_share_one_memo_entry(self, mesh44):
+        router = FaultAwareRouter(mesh44, dead_nodes={1})
+        path = router.route(0, 3)
+        assert router.links(0, 3) is router.links(0, 3)
+        assert router.links(0, 3) == list(zip(path[:-1], path[1:]))
+        assert router.hop_count(0, 3) == len(path) - 1
+
+    @pytest.mark.parametrize("attr", ["topology", "dead_nodes", "dead_links"])
+    def test_fault_set_is_read_only(self, mesh44, attr):
+        router = FaultAwareRouter(mesh44, dead_nodes={1}, dead_links={(4, 5)})
+        with pytest.raises(AttributeError):
+            setattr(router, attr, getattr(router, attr))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.grid import Mesh1D, Torus2D, XYRouter
+from repro.grid import Mesh1D, Mesh2D, Mesh3D, Torus2D, WeightedMesh2D, XYRouter
 
 
 @pytest.fixture
@@ -111,3 +111,36 @@ class TestLinkKeys:
         for bad in ("nope", "1,2", "1,2->", "a,b->c,d"):
             with pytest.raises(ValueError, match="malformed link key"):
                 parse_link_key(bad, (4, 4))
+
+
+MEMO_TOPOLOGIES = {
+    "mesh1d": lambda: Mesh1D(5),
+    "mesh2d": lambda: Mesh2D(3, 4),
+    "torus2d": lambda: Torus2D(4, 4),
+    "mesh3d": lambda: Mesh3D(2, 2, 3),
+    "weighted2d": lambda: WeightedMesh2D(3, 3, row_weight=2, col_weight=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_TOPOLOGIES))
+def test_memoized_links_equal_a_fresh_router(name):
+    topo = MEMO_TOPOLOGIES[name]()
+    memo = XYRouter(topo)
+    pairs = [(s, d) for s in topo.iter_pids() for d in topo.iter_pids()]
+    for _ in range(2):  # first call fills the memo, the second reads it
+        for src, dst in pairs:
+            fresh = XYRouter(topo)
+            assert memo.links(src, dst) == fresh.links(src, dst)
+            assert memo.route(src, dst) == fresh.route(src, dst)
+            assert memo.hop_count(src, dst) == fresh.hop_count(src, dst)
+
+
+def test_links_are_memoized_per_pair(router):
+    assert router.links(0, 15) is router.links(0, 15)
+    assert XYRouter(router.topology).links(0, 15) is not router.links(0, 15)
+
+
+def test_memo_does_not_change_router_equality(router):
+    router.links(0, 5)
+    assert router == XYRouter(router.topology)
+    assert hash(router) == hash(XYRouter(router.topology))

@@ -1,5 +1,7 @@
 """Replay-simulator tests: hop-level replay must equal the analytic model."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,10 @@ from repro.core import (
     scds,
 )
 from repro.distrib import baseline_schedule
+from repro.grid import XYRouter
 from repro.mem import CapacityError, CapacityPlan
 from repro.sim import replay_schedule
+from repro.workloads import benchmark
 
 
 class TestAgreementWithAnalyticModel:
@@ -78,6 +82,26 @@ class TestLinkTracking:
         )
         assert report.max_link_load > 0
         assert report.max_link_load <= report.total_link_traffic
+
+    def test_each_path_is_built_once_per_router(self, mesh44, monkeypatch):
+        # the router memoizes its links, so a link-tracked replay builds
+        # every (router, pair) x-y path at most once however often the
+        # schedule sends traffic between the same two processors
+        built = Counter()
+        build = XYRouter.route
+
+        def counting_route(router, src, dst):
+            built[id(router), src, dst] += 1
+            return build(router, src, dst)
+
+        monkeypatch.setattr(XYRouter, "route", counting_route)
+        model = CostModel(mesh44)
+        wl = benchmark(1, 8, mesh44)
+        schedule = gomcds(wl.reference_tensor(), model)
+        report = replay_schedule(wl.trace, schedule, model, track_links=True)
+        assert report.total_link_traffic == pytest.approx(report.total_cost)
+        assert built, "the link-tracked replay routed nothing"
+        assert max(built.values()) == 1
 
 
 class TestCounters:
