@@ -7,7 +7,9 @@ to one window.  Each case here hashes the schedule's centers and, where
 the solver certifies, the certificate's potentials / masks / totals, on
 benchmarks 1-5 at size 8 on a 4x4 mesh.  Refactoring the walk must leave
 every digest unchanged; recording provenance must not perturb any of
-them, and the decision log it produces is pinned as well.
+them, and the decision log it produces is pinned as well.  The
+``-uncapped`` rows run both reschedulers with no capacity plan, where the
+liveness mask is the walk's only constraint.
 """
 
 import hashlib
@@ -32,7 +34,10 @@ from repro.trace import build_reference_tensor
 from repro.workloads import benchmark as make_benchmark
 
 BENCHES = (1, 2, 3, 4, 5)
-RECORDING = ("gomcds", "faults", "recovery", "scds")
+RECORDING = (
+    "gomcds", "faults", "recovery", "scds",
+    "faults-uncapped", "recovery-uncapped",
+)
 
 #: (solver, bench) -> (centers, certificate, decision log) digests.
 GOLDEN = {
@@ -51,6 +56,16 @@ GOLDEN = {
     ("recovery", 3): ("8e51cd6aef0655ed", "3fcea3e5509dea49", "6d05b6c49b6ffcc6"),
     ("recovery", 4): ("98d7023101d13277", "b52c2019b1807b75", "5c937dcb123ff0f8"),
     ("recovery", 5): ("5b700776e01fa5c9", "3ff5930da75c968e", "b13819e44b9dbb41"),
+    ("faults-uncapped", 1): ("878db8dc6ec8cbfa", "2b8b63df854bdfc4", "13774da7a530397b"),
+    ("faults-uncapped", 2): ("562369f1b6e583e8", "a6ab23bb74eb42b2", "d42b622fde239cfb"),
+    ("faults-uncapped", 3): ("91696713afb0730b", "2824d921a4894731", "ee6c8d7508e873f7"),
+    ("faults-uncapped", 4): ("fbf428e789a81348", "0ef683f56c170ef5", "b5022665a16924ff"),
+    ("faults-uncapped", 5): ("72ef679a9c51afd8", "ad3750d63b60d60c", "fe60e4fb2848ebed"),
+    ("recovery-uncapped", 1): ("7c483cf546af2d1e", "fd87dbd380569736", "3fa877905e118ed7"),
+    ("recovery-uncapped", 2): ("562369f1b6e583e8", "60632157b7515f80", "d42b622fde239cfb"),
+    ("recovery-uncapped", 3): ("cd2ad8222c7acb3b", "074dcd55be74dbb3", "c1d005abda33b9f8"),
+    ("recovery-uncapped", 4): ("fbf428e789a81348", "631829ccf4ebc632", "b5022665a16924ff"),
+    ("recovery-uncapped", 5): ("eaa3a57efa14c113", "2db9a6a9d5f91c9f", "b8acd2c3f8eb8fb9"),
     ("budgeted", 1): ("28995ec26edd2c0e", None, None),
     ("budgeted", 2): ("f6d78923038a30bd", None, None),
     ("budgeted", 3): ("3873f46e081ceb8e", None, None),
@@ -102,6 +117,8 @@ def _solve(solver, bench, instrument=None):
     tensor = build_reference_tensor(wl.trace, wl.windows)
     model = CostModel(topo)
     cap = CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
+    if solver.endswith("-uncapped"):
+        solver, cap = solver.removesuffix("-uncapped"), None
     if solver == "gomcds":
         return gomcds(tensor, model, cap, certify=True, instrument=instrument)
     if solver == "budgeted":
