@@ -20,6 +20,12 @@ them (:func:`_batched_walk`).  Two independent references hold this DP
 to account: the scalar kernel
 (:func:`repro.core.kernels.shortest_center_path_python`) and the
 certificate checker (:mod:`repro.verify.certificate`).
+
+Rescheduling around a known fault is the same solve with the dead
+``(window, processor)`` cells removed, and the online-recovery re-plan
+also prices its first edge from the rollback residency, so
+:func:`gomcds` and both fault reschedulers
+(:mod:`repro.core.reschedule`) call one function, :func:`_solve`.
 """
 
 from __future__ import annotations
@@ -211,14 +217,15 @@ def _walk_paths(
 
     Returns ``(centers, potentials, masks)``: the ``(D, W)`` paths, the
     ``(D, W, m)`` DP potentials when ``certify`` and the admissible mask
-    each datum was solved under when ``record_masks`` (else ``None``).
+    each datum was solved under when ``record_masks`` (else ``None``;
+    also ``None`` when nothing masks the walk, every cell admissible).
     """
     n_data, n_windows, n_procs = costs.shape
     centers = np.empty((n_data, n_windows), dtype=np.int64)
     potentials = np.empty((n_data, n_windows, n_procs)) if certify else None
     masks = (
         np.empty((n_data, n_windows, n_procs), dtype=bool)
-        if record_masks
+        if record_masks and (base is not None or tracker is not None)
         else None
     )
     for d in order:
@@ -275,7 +282,7 @@ def _batched_walk(
         if not np.isfinite(totals).all():
             raise CapacityError(_NO_PATH)
         masks = None
-        if record_masks:
+        if record_masks and base is not None:
             masks = np.broadcast_to(base, costs.shape).copy()
         return centers, potentials, masks
 
@@ -331,29 +338,84 @@ def _path_walk(kernel: str, obs: Instrumentation):
     return partial(_batched_walk, obs=obs)
 
 
-def _certificate(
-    potentials: np.ndarray,
-    masks: np.ndarray | None = None,
-    from_window: int = 0,
-    placement: np.ndarray | None = None,
-) -> dict:
-    """Schedule-meta payload proving per-datum path optimality.
+def _solve(
+    tensor: ReferenceTensor,
+    model: CostModel,
+    capacity: CapacityPlan | None,
+    *,
+    kernel: str,
+    obs: Instrumentation,
+    certify: bool,
+    phase: str,
+    method: str,
+    meta: dict | None = None,
+    alive: np.ndarray | None = None,
+    prefix: np.ndarray | None = None,
+    pin: np.ndarray | None = None,
+) -> Schedule:
+    """The GOMCDS path solve behind :func:`gomcds` and both reschedulers.
 
-    ``potentials`` are the forward DP value tables — valid shortest-path
-    node potentials over each datum's cost-graph.  The standalone checker
-    (:mod:`repro.verify.certificate`) verifies dual feasibility and
-    tightness without re-running the solver.
+    The windows after the committed ``(D, W0)`` ``prefix`` centers (none:
+    the whole horizon) are solved by one masked walk: data claim their
+    cost-graph paths in priority order under ``capacity``, restricted to
+    the ``(W - W0, m)`` ``alive`` cells when given.  ``pin`` ``(D,)``
+    prices entering the first solved window as a move from where each
+    datum resides.  Phase spans are ``<phase>.cost_tensor``, then
+    ``<phase>.dp_sweep`` when nothing masks the walk or
+    ``<phase>.capacity_walk`` otherwise.  The schedule carries ``meta``
+    (plus the certificate when ``certify``), and provenance, tagged with
+    ``meta``, covers the full horizon with every prefix cell admissible.
     """
-    totals = potentials[:, -1, :].min(axis=1)
-    return {
-        "kind": "gomcds-potentials",
-        "version": 1,
-        "potentials": potentials,
-        "totals": totals,
-        "masks": masks,
-        "from_window": int(from_window),
-        "placement": None if placement is None else np.asarray(placement),
-    }
+    n_data, n_windows = tensor.n_data, tensor.n_windows
+    start = 0 if prefix is None else prefix.shape[1]
+    dist = model.distances.astype(np.float64)
+    vols = model.volume_vector(n_data)
+    with obs.span(f"{phase}.cost_tensor"):
+        full_costs = placement_cost_tensor(tensor, model, kernel)
+        costs = full_costs[:, start:]
+        if pin is not None:
+            costs = costs.copy()
+            costs[:, 0] += vols[:, None] * dist[pin]
+
+    tracker = None
+    if capacity is not None:
+        capacity.check_feasible(n_data)
+        tracker = OccupancyTracker(capacity, n_windows=n_windows - start)
+    record = obs.provenance.recording
+    step = "dp_sweep" if tracker is None and alive is None else "capacity_walk"
+    with obs.span(f"{phase}.{step}"):
+        centers, potentials, masks = _path_walk(kernel, obs)(
+            costs, dist, vols, tensor.data_priority_order(), base=alive,
+            tracker=tracker, certify=certify, record_masks=certify or record,
+        )
+    if prefix is not None:
+        centers = np.hstack([prefix, centers])
+    schedule_meta = dict(meta or {})
+    if certify:
+        # the forward DP value tables are shortest-path node potentials:
+        # repro.verify.certificate proves each path optimal from them
+        # (dual feasibility and tightness) without re-running the solver
+        schedule_meta["certificate"] = {
+            "kind": "gomcds-potentials",
+            "version": 1,
+            "potentials": potentials,
+            "totals": potentials[:, -1, :].min(axis=1),
+            "masks": masks,
+            "from_window": start,
+            "placement": pin,
+        }
+    if record:
+        if start and masks is not None:
+            history = np.ones((n_data, start, model.n_procs), dtype=bool)
+            masks = np.concatenate([history, masks], axis=1)
+        record_decisions(
+            obs, costs=full_costs, centers=centers, model=model,
+            method=method, kernel=kernel, masks=masks, meta=meta,
+        )
+    return Schedule(
+        centers=centers, windows=tensor.windows, method=method,
+        meta=schedule_meta,
+    )
 
 
 def gomcds(
@@ -398,35 +460,8 @@ def gomcds(
         constrained=capacity is not None,
         kernel=kernel,
     ):
-        with obs.span("gomcds.cost_tensor"):
-            costs = placement_cost_tensor(tensor, model, kernel)
-        dist = model.distances.astype(np.float64)
-        vols = model.volume_vector(n_data)
         obs.gauge("gomcds.dp_cells", n_data * n_windows * model.n_procs)
-        walk = _path_walk(kernel, obs)
-
-        record = obs.provenance.recording
-        if capacity is None:
-            masks = None
-            with obs.span("gomcds.dp_sweep"):
-                centers, potentials, _ = walk(
-                    costs, dist, vols, range(n_data), certify=certify
-                )
-        else:
-            capacity.check_feasible(n_data)
-            tracker = OccupancyTracker(capacity, n_windows=n_windows)
-            with obs.span("gomcds.capacity_walk"):
-                centers, potentials, masks = walk(
-                    costs, dist, vols, tensor.data_priority_order(),
-                    tracker=tracker, certify=certify,
-                    record_masks=certify or record,
-                )
-        meta = {"certificate": _certificate(potentials, masks)} if certify else {}
-        if record:
-            record_decisions(
-                obs, costs=costs, centers=centers, model=model,
-                method="GOMCDS", kernel=kernel, masks=masks,
-            )
-        return Schedule(
-            centers=centers, windows=tensor.windows, method="GOMCDS", meta=meta
+        return _solve(
+            tensor, model, capacity, kernel=kernel, obs=obs,
+            certify=certify, phase="gomcds", method="GOMCDS",
         )

@@ -10,7 +10,7 @@ dead node's residents (:func:`plan_evacuation`).  The replay simulator
 ``docs/fault-model.md`` documents the failure taxonomy end to end.
 """
 
-from .injector import FaultInjector, RetryPolicy
+from .injector import FaultInjector, RetryPolicy, alive_window_mask
 from .online import (
     RECOVERY_MODES,
     FaultDetector,
@@ -31,6 +31,7 @@ __all__ = [
     "FaultConfigError",
     "FaultInjector",
     "RetryPolicy",
+    "alive_window_mask",
     "Relocation",
     "plan_evacuation",
     "RECOVERY_MODES",

@@ -23,7 +23,22 @@ from ..grid import FaultAwareRouter, Topology
 from ..obs import Instrumentation, resolve
 from .plan import FaultConfigError, FaultPlan
 
-__all__ = ["RetryPolicy", "FaultInjector"]
+__all__ = ["RetryPolicy", "FaultInjector", "alive_window_mask"]
+
+
+def alive_window_mask(
+    plan: FaultPlan, n_windows: int, n_procs: int
+) -> np.ndarray:
+    """Boolean ``(n_windows, n_procs)``: True where a processor survives."""
+    return _alive(plan, range(n_windows), n_procs)
+
+
+def _alive(plan: FaultPlan, windows, n_procs: int) -> np.ndarray:
+    """Liveness of every processor, one row per window in ``windows``."""
+    alive = np.ones((len(windows), n_procs), dtype=bool)
+    for row, w in zip(alive, windows):
+        row[list(plan.down_nodes(w))] = False
+    return alive
 
 
 @dataclass(frozen=True)
@@ -105,11 +120,7 @@ class FaultInjector:
 
     def alive_mask(self, window: int) -> np.ndarray:
         """Boolean ``(n_procs,)`` mask of surviving processors."""
-        alive = np.ones(self.topology.n_procs, dtype=bool)
-        down = list(self.plan.down_nodes(window))
-        if down:
-            alive[down] = False
-        return alive
+        return _alive(self.plan, (window,), self.topology.n_procs)[0]
 
     def router(self, window: int) -> FaultAwareRouter:
         """Fault-aware router for the window's structural-fault epoch."""

@@ -34,9 +34,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import CostModel
-from ..core.reschedule import alive_window_mask
 from ..diagnostics import VER005, VER006, VER007, VER011, Diagnostic, Severity
-from ..faults import FaultPlan
+from ..faults import FaultPlan, alive_window_mask
 from ..theory import is_separable_convex
 from ..trace import ReferenceTensor
 from .abstract import MAX_DIAGNOSTICS_PER_CHECK, _emit

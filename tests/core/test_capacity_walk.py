@@ -16,10 +16,11 @@ from repro.core import (
     reschedule_around_faults,
     scds,
 )
+from repro.core.gomcds import _path_walk
 from repro.faults import FaultPlan, NodeFault
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
-from repro.obs import Instrumentation
+from repro.obs import NOOP, Instrumentation
 from repro.trace import build_reference_tensor
 from repro.workloads import trace_from_counts
 
@@ -75,6 +76,30 @@ def test_walk_counters_come_only_from_the_batched_walk():
         assert counters(instr) == {"scheduler.capacity_fallbacks": 1.0}
         (walk,) = [s for s in instr.tracer.spans if s.name == "scds.capacity_walk"]
         assert walk.attrs["fallbacks"] == 1
+
+
+def test_unmasked_walks_record_no_masks():
+    # no base mask and no tracker: every cell is admissible, so neither
+    # kernel's walk records masks, even when asked to
+    tensor, model = tensor_1d([
+        [[0, 3, 0], [2, 0, 0]],
+        [[1, 0, 1], [0, 0, 2]],
+    ])
+    walked = {}
+    for kernel in ("numpy", "python"):
+        centers, potentials, masks = _path_walk(kernel, NOOP)(
+            model.all_placement_costs(tensor).astype(np.float64),
+            model.distances.astype(np.float64),
+            model.volume_vector(tensor.n_data),
+            tensor.data_priority_order(),
+            certify=True,
+            record_masks=True,
+        )
+        assert masks is None
+        walked[kernel] = centers, potentials
+    assert walked["numpy"][0].tolist() == [[1, 0], [2, 2]]
+    for fast, slow in zip(walked["numpy"], walked["python"]):
+        assert np.array_equal(fast, slow)
 
 
 def test_infeasible_datum_raises_the_oracles_error():

@@ -242,6 +242,18 @@ class TestRescheduleFromWindow:
                 schedule, lu8_tensor, model44, plan, from_window=w,
                 placement=np.zeros(3, dtype=np.int64),
             )
+        # the right shape but a pid outside the array: the certificate
+        # checker calls the same placement malformed (VER005)
+        for pid in (-1, model44.n_procs):
+            placement = schedule.centers[:, w - 1].copy()
+            placement[0] = pid
+            with pytest.raises(
+                ValueError, match=rf"placement of datum 0 is pid {pid}\b"
+            ):
+                reschedule_from_window(
+                    schedule, lu8_tensor, model44, plan, from_window=w,
+                    placement=placement,
+                )
 
     def test_dead_suffix_window_raises_flt004(self, lu8_tensor, model44):
         schedule = gomcds(lu8_tensor, model44)

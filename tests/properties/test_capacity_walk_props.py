@@ -6,7 +6,8 @@ one-window case) speculatively in batches and walks LOMCDS one datum
 walks.  Under capacities of 1.0-1.5x the balanced minimum, with hot
 processors every datum competes for, the two must agree bit for bit:
 centers, certificates, provenance decision logs, walk counters, and the
-error raised when a datum cannot be placed.
+error raised when a datum cannot be placed.  GOMCDS and both fault
+reschedulers also draw no capacity at all, where only liveness masks.
 """
 
 import sys
@@ -112,10 +113,11 @@ def _assert_parity(out, counters=()):
         ), name
 
 
-@given(tight_instances())
+@given(tight_instances(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_gomcds_kernels_agree_under_tight_capacity(instance):
+def test_gomcds_kernels_agree_under_tight_capacity(instance, capped):
     tensor, capacity = instance
+    capacity = capacity if capped else None
     out = _run(
         lambda **kw: schedule(
             tensor, CostModel(TOPO), algorithm="GOMCDS", capacity=capacity,
@@ -193,6 +195,7 @@ def test_lomcds_kernels_agree_under_tight_capacity(instance):
 @settings(max_examples=60, deadline=None)
 def test_fault_rescheduler_kernels_agree(data, instance):
     tensor, capacity = instance
+    capacity = capacity if data.draw(st.booleans()) else None
     plan = data.draw(fault_plans(tensor.n_windows))
     out = _run(
         lambda **kw: reschedule_around_faults(
@@ -206,6 +209,7 @@ def test_fault_rescheduler_kernels_agree(data, instance):
 @settings(max_examples=60, deadline=None)
 def test_recovery_rescheduler_kernels_agree(data, instance):
     tensor, capacity = instance
+    capacity = capacity if data.draw(st.booleans()) else None
     model = CostModel(TOPO)
     plan = data.draw(fault_plans(tensor.n_windows))
     from_window = data.draw(st.integers(0, tensor.n_windows - 1))
