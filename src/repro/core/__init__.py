@@ -29,11 +29,8 @@ from .lomcds import lomcds
 from .online import omcds
 from .optimal import optimal_static_placement, static_lower_bound
 from .refine import RefineResult, refine_schedule
-from .reschedule import (
-    alive_window_mask,
-    reschedule_around_faults,
-    reschedule_from_window,
-)
+from ..faults import alive_window_mask
+from .reschedule import reschedule_around_faults, reschedule_from_window
 from .replication import (
     ReplicatedPlacement,
     evaluate_replicated,
