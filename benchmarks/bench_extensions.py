@@ -22,6 +22,7 @@ from repro.analysis import (
 from repro import schedule
 from repro.core import refine_schedule, replicated_scds
 from repro.sim import estimate_execution_time
+from repro.workloads import paper_instance
 
 
 def bench_ablation_partition(benchmark):
@@ -127,16 +128,13 @@ def bench_extended_suite(benchmark):
         assert row.result_for("GOMCDS").cost <= row.sf_cost
 
 
-def bench_refine_runtime(benchmark, instances):
+def bench_refine_runtime(benchmark):
     """Refinement pass throughput on a tight-memory 16x16 instance."""
-    from repro.mem import CapacityPlan
-
-    inst = instances(5, 16)
-    tight = CapacityPlan.paper_rule(inst.workload.n_data, 16, multiplier=1.0)
-    sched = schedule(inst.tensor, inst.model, algorithm="gomcds", capacity=tight)
+    inst = paper_instance(5, 16, capacity_multiplier=1.0)
+    sched = inst.solve("GOMCDS")
 
     def run():
-        return refine_schedule(sched, inst.tensor, inst.model, tight)
+        return refine_schedule(sched, inst.tensor, inst.model, inst.capacity)
 
     result = benchmark(run)
     assert result.final_cost <= result.initial_cost

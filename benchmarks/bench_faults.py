@@ -47,7 +47,7 @@ def bench_fault_replay_overhead(benchmark, instances):
     inst = instances(1, 16)
     sched = schedule(inst.tensor, inst.model, algorithm="gomcds", capacity=inst.capacity)
     plan = FaultPlan.random(
-        inst.topology, inst.tensor.n_windows, node_rate=0.2, seed=3
+        inst.model.topology, inst.tensor.n_windows, node_rate=0.2, seed=3
     )
 
     def run():
@@ -68,7 +68,7 @@ def bench_reschedule_around_faults(benchmark, instances, node_rate):
     """Time the fault-aware rescheduling pass; assert it helps the replay."""
     inst = instances(1, 16)
     plan = FaultPlan.random(
-        inst.topology, inst.tensor.n_windows, node_rate=node_rate, seed=3
+        inst.model.topology, inst.tensor.n_windows, node_rate=node_rate, seed=3
     )
     sched = benchmark(
         reschedule_around_faults, inst.tensor, inst.model, plan, inst.capacity

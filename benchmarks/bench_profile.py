@@ -35,12 +35,9 @@ import sys
 from pathlib import Path
 
 from repro.analysis.regression import overhead_probe, run_bench_suite
-from repro.core import CostModel
 from repro.engine import ScheduleRequest, schedule_many
-from repro.grid import Mesh2D
-from repro.mem import CapacityPlan
 from repro.obs import render_chrome, to_prometheus
-from repro.workloads import benchmark as make_benchmark
+from repro.workloads import paper_instance
 
 
 def _batch_requests(
@@ -50,15 +47,12 @@ def _batch_requests(
     seed: int,
 ) -> list[ScheduleRequest]:
     """One GOMCDS request per paper benchmark, at the suite's config."""
-    topology = Mesh2D(*mesh)
-    model = CostModel(topology)
     requests = []
     for bench in benchmarks:
-        workload = make_benchmark(bench, size, topology, seed=seed)
-        capacity = CapacityPlan.paper_rule(workload.n_data, topology.n_procs)
+        inst = paper_instance(bench, size, mesh, seed)
         requests.append(
             ScheduleRequest(
-                workload.reference_tensor(), model, capacity=capacity,
+                inst.tensor, inst.model, capacity=inst.capacity,
                 algorithm="gomcds", label=f"bench{bench}",
             )
         )

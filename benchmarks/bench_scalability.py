@@ -18,43 +18,33 @@ Run as a script to gate that speedup in CI::
 import pytest
 
 from repro import ScheduleRequest, schedule, schedule_many
-from repro.core import CostModel, grouped_schedule
-from repro.grid import Mesh2D
-from repro.mem import CapacityPlan
+from repro.core import grouped_schedule
 from repro.trace import build_reference_tensor, windows_by_step_count
-from repro.workloads import benchmark as make_benchmark
+from repro.workloads import paper_instance
 
 SCHEDULER_NAMES = ("SCDS", "LOMCDS", "GOMCDS")
 
 
 def _instance(n=16, mesh=(4, 4), bench=5, spw=None):
-    topo = Mesh2D(*mesh)
-    wl = make_benchmark(bench, n, topo)
-    windows = (
-        wl.windows
-        if spw is None
-        else windows_by_step_count(wl.trace, spw)
-    )
-    tensor = build_reference_tensor(wl.trace, windows)
-    return tensor, CostModel(topo)
+    inst = paper_instance(bench, n, mesh)
+    if spw is None:
+        return inst.tensor, inst.model
+    windows = windows_by_step_count(inst.workload.trace, spw)
+    return build_reference_tensor(inst.workload.trace, windows), inst.model
 
 
 def _suite_requests(n=16, mesh=(4, 4), benchmarks=(1, 2, 3, 4, 5)):
     """One capacity-constrained GOMCDS request per paper benchmark."""
-    topo = Mesh2D(*mesh)
-    model = CostModel(topo)
     requests = []
     for bench in benchmarks:
-        wl = make_benchmark(bench, n, topo)
-        tensor = build_reference_tensor(wl.trace, wl.windows)
-        capacity = CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
+        inst = paper_instance(bench, n, mesh)
         requests.append(
             ScheduleRequest(
-                tensor, model, capacity=capacity, algorithm="gomcds",
-                label=f"bench{bench}",
+                inst.tensor, inst.model, capacity=inst.capacity,
+                algorithm="gomcds", label=f"bench{bench}",
             )
         )
-    return requests, model
+    return requests
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -87,18 +77,18 @@ def bench_grouping_scaling(benchmark):
 
 def bench_batch_gomcds_suite(benchmark):
     """The batched numpy GOMCDS suite (the engine's fast path)."""
-    requests, _ = _suite_requests(n=8)
+    requests = _suite_requests(n=8)
     benchmark(schedule_many, requests, workers=1, kernel="numpy")
 
 
 def bench_sequential_scalar_suite(benchmark):
     """The same suite, sequential scalar kernels (the reference path)."""
-    requests, model = _suite_requests(n=8)
+    requests = _suite_requests(n=8)
 
     def run():
         return [
             schedule(
-                r.tensor, model, algorithm="gomcds", capacity=r.capacity,
+                r.tensor, r.model, algorithm="gomcds", capacity=r.capacity,
                 kernel="python",
             )
             for r in requests
@@ -129,7 +119,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    requests, model = _suite_requests(
+    requests = _suite_requests(
         n=args.size, mesh=tuple(args.mesh), benchmarks=tuple(args.benchmarks)
     )
 
@@ -145,7 +135,7 @@ def main(argv=None):
     def sequential():
         return [
             schedule(
-                r.tensor, model, algorithm="gomcds", capacity=r.capacity,
+                r.tensor, r.model, algorithm="gomcds", capacity=r.capacity,
                 kernel="python",
             )
             for r in requests

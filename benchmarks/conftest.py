@@ -10,44 +10,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import CostModel
-from repro.distrib import baseline_schedule
 from repro.core import evaluate_schedule
-from repro.grid import Mesh2D
-from repro.mem import CapacityPlan
-from repro.workloads import benchmark as make_benchmark
+from repro.distrib import baseline_schedule
+from repro.workloads import PaperInstance, paper_instance
 
-PAPER_MESH = (4, 4)
 PAPER_SIZES = (8, 16, 32)
 PAPER_BENCHMARKS = (1, 2, 3, 4, 5)
 
 
-class Instance:
-    """One benchmark row's inputs, built lazily and cached."""
-
-    def __init__(self, bench: int, n: int, mesh=PAPER_MESH, seed: int = 1998):
-        self.bench = bench
-        self.n = n
-        self.topology = Mesh2D(*mesh)
-        self.workload = make_benchmark(bench, n, self.topology, seed=seed)
-        self.tensor = self.workload.reference_tensor()
-        self.model = CostModel(self.topology)
-        self.capacity = CapacityPlan.paper_rule(
-            self.workload.n_data, self.topology.n_procs
-        )
-        self.sf_cost = evaluate_schedule(
-            baseline_schedule(self.workload, "row_wise"), self.tensor, self.model
-        ).total
+def sf_cost(inst: PaperInstance) -> float:
+    """The row-wise straight-forward (S.F.) distribution's cost."""
+    return evaluate_schedule(
+        baseline_schedule(inst.workload, "row_wise"), inst.tensor, inst.model
+    ).total
 
 
 @pytest.fixture(scope="session")
 def instances():
-    cache: dict[tuple[int, int], Instance] = {}
+    cache: dict[tuple[int, int], PaperInstance] = {}
 
-    def get(bench: int, n: int) -> Instance:
+    def get(bench: int, n: int) -> PaperInstance:
         key = (bench, n)
         if key not in cache:
-            cache[key] = Instance(bench, n)
+            cache[key] = paper_instance(bench, n)
         return cache[key]
 
     return get

@@ -36,13 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..core import CostModel, replicated_scds, scheduler_spec
+from ..core import replicated_scds, scheduler_spec
 from ..diagnostics import RCV001, RCV002, RCV003, RCV004, Diagnostic, Severity
 from ..faults import FaultPlan, RecoveryPolicy, replay_with_recovery
-from ..grid import Mesh2D
 from ..obs import Instrumentation, resolve
 from ..sim import replay_schedule
-from ..workloads import benchmark
+from ..workloads import paper_instance
 
 __all__ = ["ChaosScenario", "ChaosReport", "run_chaos_campaign"]
 
@@ -293,10 +292,8 @@ def run_chaos_campaign(
         raise ValueError("a campaign needs at least one scenario")
     obs = resolve(instrument)
     t0 = time.perf_counter()
-    topology = Mesh2D(*mesh)
-    workload = benchmark(bench, size, topology, seed=workload_seed)
-    tensor = workload.reference_tensor()
-    model = CostModel(topology)
+    instance = paper_instance(bench, size, mesh, workload_seed)
+    workload, tensor, model = instance.workload, instance.tensor, instance.model
     schedule = scheduler_spec(scheduler)(tensor, model)
     baseline = replay_schedule(workload.trace, schedule, model)
     baseline_dict = baseline.to_dict()
@@ -321,7 +318,7 @@ def run_chaos_campaign(
                 plan = FaultPlan()  # fault-free control scenario
             else:
                 plan = FaultPlan.random(
-                    topology,
+                    model.topology,
                     tensor.n_windows,
                     node_rate=float(rng.uniform(0.05, max_node_rate)),
                     link_rate=float(rng.uniform(0.0, 0.1)),

@@ -25,14 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import CostModel, evaluate_schedule, scheduler_spec
-from ..core.reschedule import reschedule_around_faults
+from ..core import evaluate_schedule, scheduler_spec
 from ..faults import FaultPlan, NodeFault
-from ..grid import Mesh2D
-from ..mem import CapacityPlan
 from ..obs import Instrumentation
 from ..verify import check_provenance_log
-from ..workloads import BENCHMARK_NAMES, benchmark as make_benchmark
+from ..workloads import BENCHMARK_NAMES, paper_instance
 
 __all__ = [
     "ExplainResult",
@@ -44,6 +41,10 @@ __all__ = [
     "diff_explain_records",
     "render_explain_diff",
 ]
+
+
+#: The schedulers that record a decision log under provenance.
+_DECISION_RECORDERS = ("SCDS", "LOMCDS", "GOMCDS")
 
 
 @dataclass
@@ -87,44 +88,36 @@ def explain_solve(
     ``solve(instrument)`` runs the scheduler on the benchmark instance.
     ``fail_node`` switches to the fault-aware rescheduler
     (:func:`repro.core.reschedule.reschedule_around_faults`) with that
-    processor down from window ``fail_window`` on.  Both
+    processor down from window ``fail_window`` on; otherwise
+    ``scheduler`` must be one that records decisions (SCDS, LOMCDS,
+    GOMCDS) or ``ValueError`` is raised.  Both
     :func:`explain_workload` and ``repro explain --max-overhead-pct`` run
     this call, so the overhead gate times exactly the solve being
     explained.
     """
-    if bench not in BENCHMARK_NAMES:
-        known = ", ".join(str(b) for b in sorted(BENCHMARK_NAMES))
-        raise ValueError(f"unknown benchmark {bench!r}; known: {known}")
-    topology = Mesh2D(*mesh)
-    workload = make_benchmark(bench, size, topology, seed=seed)
-    tensor = workload.reference_tensor()
-    model = CostModel(workload.topology)
-    capacity = CapacityPlan.paper_rule(
-        workload.n_data, workload.topology.n_procs, capacity_multiplier
-    )
-    name = f"bench{bench}:{BENCHMARK_NAMES[bench]}"
-
+    instance = paper_instance(bench, size, mesh, seed, capacity_multiplier)
+    label = f"bench{bench}:{BENCHMARK_NAMES[bench]}"
+    plan = None
     if fail_node is not None:
         plan = FaultPlan(
             node_faults=(NodeFault(pid=fail_node, start=fail_window),)
         )
-
-        def solve(instrument):
-            return reschedule_around_faults(
-                tensor, model, plan, capacity, kernel=kernel,
-                instrument=instrument,
+        label = f"{label} (node {fail_node} down from w{fail_window})"
+        method = "GOMCDS+faults"
+    else:
+        method = scheduler_spec(scheduler).name
+        if method not in _DECISION_RECORDERS:
+            raise ValueError(
+                f"{method} records no decision log; explain one of "
+                f"{', '.join(_DECISION_RECORDERS)}"
             )
 
-        label = f"{name} (node {fail_node} down from w{fail_window})"
-        return solve, tensor, model, label, "GOMCDS+faults"
-
-    spec = scheduler_spec(scheduler)
-    options = {"kernel": kernel} if "kernel" in spec.supported_kwargs else {}
-
     def solve(instrument):
-        return spec(tensor, model, capacity, instrument=instrument, **options)
+        return instance.solve(
+            scheduler, faults=plan, kernel=kernel, instrument=instrument
+        )
 
-    return solve, tensor, model, name, spec.name
+    return solve, instance.tensor, instance.model, label, method
 
 
 def explain_workload(

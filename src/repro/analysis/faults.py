@@ -9,17 +9,10 @@ the ``repro faults`` CLI subcommand and ``benchmarks/bench_faults.py``.
 
 from __future__ import annotations
 
-from ..core import (
-    CostModel,
-    evaluate_schedule,
-    reschedule_around_faults,
-    scheduler_spec,
-)
+from ..core import evaluate_schedule
 from ..faults import FaultPlan, RetryPolicy
-from ..grid import Mesh2D
-from ..mem import CapacityPlan
 from ..sim import replay_schedule
-from ..workloads import benchmark
+from ..workloads import PaperInstance, paper_instance
 
 __all__ = ["run_fault_replay", "fault_sweep", "DEFAULT_FAULT_RATES"]
 
@@ -43,32 +36,35 @@ def run_fault_replay(
     Returns a flat row with the fault-free analytic cost, the degraded
     replay's costs and the per-outcome reference accounting.
     """
-    topology = Mesh2D(*mesh)
-    workload = benchmark(bench, size, topology, seed=seed)
-    tensor = workload.reference_tensor()
-    model = CostModel(topology)
-    capacity = CapacityPlan.paper_rule(
-        workload.n_data, topology.n_procs, multiplier=capacity_multiplier
-    )
-    plan.validate_for(topology, tensor.n_windows)
+    instance = paper_instance(bench, size, mesh, seed, capacity_multiplier)
+    return _replay(instance, plan, scheduler, reschedule, retry, evacuate)
 
-    if reschedule:
-        schedule = reschedule_around_faults(tensor, model, plan, capacity)
-    else:
-        schedule = scheduler_spec(scheduler)(tensor, model, capacity)
+
+def _replay(
+    instance: PaperInstance,
+    plan: FaultPlan,
+    scheduler: str,
+    reschedule: bool,
+    retry: RetryPolicy | None = None,
+    evacuate: bool = True,
+) -> dict:
+    """:func:`run_fault_replay` on an instance built by the caller."""
+    tensor, model = instance.tensor, instance.model
+    plan.validate_for(model.topology, tensor.n_windows)
+    schedule = instance.solve(scheduler, faults=plan if reschedule else None)
     analytic = evaluate_schedule(schedule, tensor, model)
     report = replay_schedule(
-        workload.trace,
+        instance.workload.trace,
         schedule,
         model,
-        capacity=capacity,
+        capacity=instance.capacity,
         faults=plan,
         retry=retry,
         evacuate=evacuate,
     )
     return {
-        "bench": bench,
-        "size": size,
+        "bench": instance.bench,
+        "size": instance.size,
         "scheduler": schedule.method,
         "analytic_cost": analytic.total,
         "replayed_cost": report.total_cost,
@@ -99,27 +95,19 @@ def fault_sweep(
     seed: int = 1998,
 ) -> list[dict]:
     """Sweep node-failure rates and report cost/completion degradation."""
-    topology = Mesh2D(*mesh)
-    workload = benchmark(bench, size, topology, seed=seed)
-    n_windows = workload.reference_tensor().n_windows
+    instance = paper_instance(bench, size, mesh, seed)
     rows = []
     for rate in node_rates:
         plan = FaultPlan.random(
-            topology,
-            n_windows,
+            instance.model.topology,
+            instance.tensor.n_windows,
             node_rate=float(rate),
             link_rate=link_rate,
             drop_rate=drop_rate,
             seed=fault_seed,
         )
-        row = run_fault_replay(
-            plan,
-            bench=bench,
-            size=size,
-            mesh=mesh,
-            scheduler=scheduler,
-            reschedule=reschedule and not plan.is_empty,
-            seed=seed,
+        row = _replay(
+            instance, plan, scheduler, reschedule and not plan.is_empty
         )
         rows.append(
             {

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import CostModel, evaluate_schedule, scheduler_spec
+from ..core import evaluate_schedule
 from ..grid import Mesh2D
-from ..mem import CapacityPlan
 from ..obs import Instrumentation, active, record_event
 from ..sim import replay_schedule
-from ..workloads import (
-    BENCHMARK_NAMES,
-    EXTENDED_KERNELS,
-    benchmark as make_benchmark,
-)
+from ..workloads import BENCHMARK_NAMES, EXTENDED_KERNELS, paper_instance
+from ..workloads.paper import PaperInstance, instance_of
 
 __all__ = ["ProfileResult", "profile_suite", "PROFILE_SCHEDULERS"]
 
@@ -50,18 +46,13 @@ class ProfileResult:
 
 def _profile_instance(
     name: str,
-    workload,
+    instance: PaperInstance,
     schedulers,
-    capacity_multiplier: float,
     replay: bool,
     instr: Instrumentation,
     result: ProfileResult,
 ) -> None:
-    tensor = workload.reference_tensor()
-    model = CostModel(workload.topology)
-    capacity = CapacityPlan.paper_rule(
-        workload.n_data, workload.topology.n_procs, capacity_multiplier
-    )
+    tensor, model = instance.tensor, instance.model
     record_event(
         "profile.instance", workload=name, n_windows=tensor.n_windows
     )
@@ -72,14 +63,13 @@ def _profile_instance(
         n_windows=tensor.n_windows,
     ):
         for sched_name in schedulers:
-            spec = scheduler_spec(sched_name)
-            sched = spec(tensor, model, capacity, instrument=instr)
+            sched = instance.solve(sched_name, instrument=instr)
             breakdown = evaluate_schedule(sched, tensor, model)
             result.results.append(breakdown)
             result.rows.append(
                 {
                     "workload": name,
-                    "scheduler": spec.name,
+                    "scheduler": sched.method,
                     "total_cost": breakdown.total,
                     "reference_cost": breakdown.reference_cost,
                     "movement_cost": breakdown.movement_cost,
@@ -87,10 +77,10 @@ def _profile_instance(
             )
             if replay and sched_name == schedulers[-1]:
                 report = replay_schedule(
-                    workload.trace,
+                    instance.workload.trace,
                     sched,
                     model,
-                    capacity=capacity,
+                    capacity=instance.capacity,
                     instrument=instr,
                 )
                 result.results.append(report)
@@ -143,16 +133,15 @@ def profile_suite(
     if spatial and instr.enabled:
         instr.spatial.recording = True
     result = ProfileResult(instrument=instr)
-    topology = Mesh2D(*mesh)
     schedulers = tuple(schedulers)
 
     if workload in EXTENDED_KERNELS:
         factory, default_n = EXTENDED_KERNELS[workload]
-        instance = factory(size or default_n, topology)
-        _profile_instance(
-            workload, instance, schedulers, capacity_multiplier,
-            replay, instr, result,
+        n = size or default_n
+        instance = instance_of(
+            factory(n, Mesh2D(*mesh)), workload, n, capacity_multiplier
         )
+        _profile_instance(workload, instance, schedulers, replay, instr, result)
         return result
     if workload != "suite" and workload not in PAPER_KERNELS:
         known = ("suite", *PAPER_KERNELS, *EXTENDED_KERNELS)
@@ -161,12 +150,10 @@ def profile_suite(
         )
 
     for bench in benchmarks:
-        instance = make_benchmark(bench, size, topology, seed=seed)
         _profile_instance(
             f"bench{bench}:{BENCHMARK_NAMES[bench]}",
-            instance,
+            paper_instance(bench, size, mesh, seed, capacity_multiplier),
             schedulers,
-            capacity_multiplier,
             replay,
             instr,
             result,

@@ -40,14 +40,11 @@ from time import perf_counter
 
 import numpy as np
 
-from ..api import schedule
-from ..core import CostModel, evaluate_schedule
+from ..core import evaluate_schedule
 from ..diagnostics import REG001, REG002, REG003, Diagnostic, Severity
-from ..grid import Mesh2D
-from ..mem import CapacityPlan
 from ..obs import NOOP, Instrumentation
 from ..sim import replay_schedule
-from ..workloads import BENCHMARK_NAMES, benchmark as make_benchmark
+from ..workloads import BENCHMARK_NAMES, paper_instance
 
 __all__ = [
     "BENCH_SCHEDULERS",
@@ -159,31 +156,23 @@ def run_bench_suite(
     ``overhead_pct`` is computed from *medians*.  The comparator ignores
     unknown top-level keys, so older baselines stay valid.
     """
-    topology = Mesh2D(*mesh)
-    model = CostModel(topology)
     results = []
     replay_medians = []
     probe_medians = []
     for bench in benchmarks:
-        workload = make_benchmark(bench, size, topology, seed=seed)
-        tensor = workload.reference_tensor()
-        capacity = CapacityPlan.paper_rule(workload.n_data, topology.n_procs)
+        instance = paper_instance(bench, size, mesh, seed)
+        tensor, model = instance.tensor, instance.model
         row = {
             "benchmark": bench,
             "name": BENCHMARK_NAMES[bench],
-            "n_data": workload.n_data,
+            "n_data": instance.workload.n_data,
             "n_windows": tensor.n_windows,
         }
         last = None
         for name in BENCH_SCHEDULERS:
-            last = schedule(  # warm
-                tensor, model, algorithm=name, capacity=capacity
-            )
+            last = instance.solve(name)  # warm
             best, med = _time_repeats(
-                lambda n=name, t=tensor, c=capacity: schedule(
-                    t, model, algorithm=n, capacity=c
-                ),
-                repeats,
+                lambda n=name: instance.solve(n), repeats
             )
             row[f"{name.lower()}_s"] = best
             row[f"{name.lower()}_median_s"] = med
@@ -191,8 +180,8 @@ def run_bench_suite(
                 last, tensor, model
             ).total
         replay_s, replay_med = _time_repeats(
-            lambda w=workload, s=last, c=capacity: replay_schedule(
-                w.trace, s, model, capacity=c
+            lambda s=last: replay_schedule(
+                instance.workload.trace, s, model, capacity=instance.capacity
             ),
             repeats,
         )

@@ -10,6 +10,7 @@ from .loopnest import Loop, LoopNest
 from .lu import lu_workload
 from .sor import sor_workload
 from .matmul import matmul_workload
+from .paper import PaperInstance, paper_instance
 from .partition import (
     PARTITION_SCHEMES,
     block_cyclic_owners,
@@ -43,6 +44,8 @@ __all__ = [
     "combine",
     "benchmark",
     "BENCHMARK_NAMES",
+    "PaperInstance",
+    "paper_instance",
     "owner_map",
     "row_wise_owners",
     "column_wise_owners",

@@ -79,4 +79,5 @@ def benchmark(
             reversed_code_workload(n, topology, scheme, seed=seed),
             name=BENCHMARK_NAMES[5],
         )
-    raise ValueError(f"the paper defines benchmarks 1-5, got {number}")
+    known = ", ".join(str(b) for b in BENCHMARK_NAMES)
+    raise ValueError(f"unknown benchmark {number!r}; known: {known}")

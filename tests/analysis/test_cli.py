@@ -54,6 +54,28 @@ def test_unknown_subcommand():
         main(["tablex"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--bench", "1", "--scheduler", "FOO"],
+        ["explain", "--bench", "1", "--scheduler", "FOO"],
+        ["heatmap", "--bench", "1", "--scheduler", "FOO"],
+        ["faults", "--bench", "1", "--scheduler", "FOO"],
+        ["lint", "--bench", "1", "--scheduler", "FOO"],
+        ["chaos", "--scheduler", "FOO"],
+        ["batch", "--schedulers", "GOMCDS", "FOO"],
+        ["profile", "--scheduler", "FOO"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_scheduler_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "unknown scheduler 'FOO'; known: GOMCDS, LOMCDS, OMCDS, SCDS" in err
+
+
 def test_extended_command(capsys):
     out = run(capsys, "extended")
     assert "Extended suite" in out

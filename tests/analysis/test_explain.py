@@ -148,7 +148,12 @@ def test_cli_overhead_gate_fails_a_schedule_change(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", (["--capacity-multiplier", "0.5"], ["--fail-node", "99"])
+    "flags",
+    (
+        ["--capacity-multiplier", "0.5"],
+        ["--fail-node", "99"],
+        ["--scheduler", "OMCDS"],
+    ),
 )
 def test_cli_overhead_gate_times_the_named_solve(flags, capsys):
     # the gate builds the same instance as the explain it guards, so a
