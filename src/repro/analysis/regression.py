@@ -41,7 +41,14 @@ from time import perf_counter
 import numpy as np
 
 from ..core import evaluate_schedule
-from ..diagnostics import REG001, REG002, REG003, Diagnostic, Severity
+from ..diagnostics import (
+    REG001,
+    REG002,
+    REG003,
+    Diagnostic,
+    Severity,
+    severity_exit_code,
+)
 from ..obs import NOOP, Instrumentation
 from ..sim import replay_schedule
 from ..workloads import BENCHMARK_NAMES, paper_instance
@@ -247,18 +254,9 @@ class BenchComparison:
     min_time_delta_s: float = 0.05
 
     @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    @property
     def exit_code(self) -> int:
         """Lint-style gate: 0 clean, 1 warnings only, 2 any error."""
-        worst = self.max_severity
-        if worst is None:
-            return 0
-        return 2 if worst >= Severity.ERROR else 1
+        return severity_exit_code(self.diagnostics)
 
     @property
     def is_clean(self) -> bool:

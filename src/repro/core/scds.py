@@ -17,11 +17,7 @@ from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
 from .gomcds import _path_walk
-from .kernels import (
-    merged_totals_python,
-    placement_cost_tensor_python,
-    resolve_kernel,
-)
+from .kernels import merged_totals_python, placement_cost_tensor, resolve_kernel
 from .schedule import Schedule
 
 __all__ = ["scds"]
@@ -73,11 +69,10 @@ def scds(
         # Line 2-4 of Algorithm 1: cost of putting datum i at node j, with
         # all windows collected together.
         with obs.span("scds.cost_tensor"):
+            costs = placement_cost_tensor(tensor, model, kernel)  # (D, W, m)
             if kernel == "python":
-                costs = placement_cost_tensor_python(tensor, model)
                 totals = merged_totals_python(costs)
             else:
-                costs = model.all_placement_costs(tensor)  # (D, W, m)
                 totals = costs.sum(axis=1)  # (D, m)
 
         if capacity is None:

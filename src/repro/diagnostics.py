@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = [
     "Severity",
     "Diagnostic",
     "code_message",
     "coord_suffix",
+    "severity_exit_code",
     # schedule codes
     "SCH001",
     "SCH002",
@@ -359,3 +361,9 @@ def coord_suffix(
 def code_message(code: str, message: str) -> str:
     """Prefix ``message`` with its diagnostic code: ``[SCH002] ...``."""
     return f"[{code}] {message}"
+
+
+def severity_exit_code(diagnostics: Iterable[Diagnostic]) -> int:
+    """The gate every linter-style report shares: ``0`` clean or info
+    only, ``1`` warnings only, ``2`` any error (the worst severity)."""
+    return int(max((d.severity for d in diagnostics), default=Severity.INFO))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity, severity_exit_code
 from ..obs import Instrumentation, resolve
 from ..schema import SCHEMA_VERSION, check_schema
 from .context import LintContext
@@ -105,11 +105,7 @@ class LintReport:
     @property
     def exit_code(self) -> int:
         """The CLI gate: 0 clean, 1 warnings only, 2 any error."""
-        if self.n_errors:
-            return EXIT_ERRORS
-        if self.n_warnings:
-            return EXIT_WARNINGS
-        return EXIT_CLEAN
+        return severity_exit_code(self.diagnostics)
 
     def codes(self) -> set[str]:
         """Distinct diagnostic codes present in the findings."""

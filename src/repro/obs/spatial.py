@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..diagnostics import OBS001, OBS002, Diagnostic, Severity
+from ..diagnostics import OBS001, OBS002, Diagnostic, Severity, severity_exit_code
 from ..grid import Link, Topology, link_key, mesh_links
 
 __all__ = [
@@ -316,18 +316,9 @@ class SpatialReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
-    def max_severity(self) -> Severity | None:
-        if not self.diagnostics:
-            return None
-        return max(d.severity for d in self.diagnostics)
-
-    @property
     def exit_code(self) -> int:
         """Lint-style: 0 clean, 1 warnings only, 2 errors."""
-        worst = self.max_severity
-        if worst is None or worst == Severity.INFO:
-            return 0
-        return 1 if worst == Severity.WARNING else 2
+        return severity_exit_code(self.diagnostics)
 
     def to_dict(self) -> dict:
         return {
