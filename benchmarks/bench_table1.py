@@ -44,8 +44,8 @@ def bench_scheduler_on_row(benchmark, instances, name, bench_id):
             inst.tensor, inst.model, algorithm=name, capacity=inst.capacity
         )
 
-    schedule = benchmark(run)
-    cost = evaluate_schedule(schedule, inst.tensor, inst.model).total
+    solved = benchmark(run)
+    cost = evaluate_schedule(solved, inst.tensor, inst.model).total
     assert cost <= sf_cost(inst) * 1.2  # sanity: never catastrophically bad
 
 
@@ -59,5 +59,5 @@ def bench_gomcds_scaling(benchmark, instances, n):
             inst.tensor, inst.model, algorithm="gomcds", capacity=inst.capacity
         )
 
-    schedule = benchmark(run)
-    assert schedule.n_data == n * n
+    solved = benchmark(run)
+    assert solved.n_data == n * n
