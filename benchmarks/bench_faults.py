@@ -29,10 +29,9 @@ def bench_fault_sweep(benchmark, instances):
     """Time the full failure-rate sweep; print the degradation table."""
     rows = benchmark(
         fault_sweep,
+        instances(1, 16),
         node_rates=(0.0, 0.1, 0.2, 0.3),
         drop_rate=0.02,
-        bench=1,
-        size=16,
     )
     print()
     print("Fault sweep (benchmark 1, 16x16, GOMCDS, evacuation on):")

@@ -41,7 +41,7 @@ from ..diagnostics import RCV001, RCV002, RCV003, RCV004, Diagnostic, Severity
 from ..faults import FaultPlan, RecoveryPolicy, replay_with_recovery
 from ..obs import Instrumentation, resolve
 from ..sim import replay_schedule
-from ..workloads import paper_instance
+from ..workloads import PaperInstance
 
 __all__ = ["ChaosScenario", "ChaosReport", "run_chaos_campaign"]
 
@@ -265,20 +265,19 @@ def _check_invariants(
 
 
 def run_chaos_campaign(
+    instance: PaperInstance,
     seed: int = 7,
     n_scenarios: int = 10,
-    bench: int = 1,
-    size: int = 8,
-    mesh: tuple[int, int] = (4, 4),
     scheduler: str = "GOMCDS",
     checkpoint_interval: int = 2,
     max_node_rate: float = 0.3,
     max_drop_rate: float = 0.1,
-    workload_seed: int = 1998,
     instrument: Instrumentation | None = None,
 ) -> ChaosReport:
-    """Run ``n_scenarios`` seeded fault storms and gate the invariants.
+    """Run ``n_scenarios`` seeded fault storms on ``instance`` and gate
+    the invariants.
 
+    ``scheduler`` solves the instance without its capacity plan.
     Scenario 0 is always the fault-free control (it arms the ``RCV003``
     bit-identity check); the rest sample node/link/drop rates from the
     campaign seed and alternate between the ``degrade`` and ``replicate``
@@ -292,7 +291,6 @@ def run_chaos_campaign(
         raise ValueError("a campaign needs at least one scenario")
     obs = resolve(instrument)
     t0 = time.perf_counter()
-    instance = paper_instance(bench, size, mesh, workload_seed)
     workload, tensor, model = instance.workload, instance.tensor, instance.model
     schedule = scheduler_spec(scheduler)(tensor, model)
     baseline = replay_schedule(workload.trace, schedule, model)
@@ -301,15 +299,16 @@ def run_chaos_campaign(
 
     report = ChaosReport(
         seed=seed,
-        bench=bench,
-        size=size,
-        mesh=tuple(mesh),
+        bench=instance.bench,
+        size=instance.size,
+        mesh=tuple(model.topology.shape),
         scheduler=schedule.method,
         checkpoint_interval=checkpoint_interval,
     )
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC4A05)))
     with obs.span(
-        "chaos.campaign", seed=seed, n_scenarios=n_scenarios, bench=bench
+        "chaos.campaign", seed=seed, n_scenarios=n_scenarios,
+        bench=instance.bench,
     ):
         for i in range(n_scenarios):
             scenario_seed = int(seed * 10_000 + i)

@@ -424,7 +424,7 @@ def ablation_partition_schemes(
     out = []
     for scheme in ("row_wise", "column_wise", "block", "block_cyclic"):
         workload = benchmark(bench, n, topo, scheme=scheme, seed=seed)
-        inst = instance_of(workload, bench, n, capacity_multiplier)
+        inst = instance_of(workload, bench, n, capacity_multiplier, seed)
         out.append(_improvements({"scheme": scheme}, inst, scheme))
     return out
 

@@ -29,7 +29,7 @@ from ..core import evaluate_schedule, scheduler_spec
 from ..faults import FaultPlan, NodeFault
 from ..obs import Instrumentation
 from ..verify import check_provenance_log
-from ..workloads import BENCHMARK_NAMES, paper_instance
+from ..workloads import BENCHMARK_NAMES, PaperInstance
 
 __all__ = [
     "ExplainResult",
@@ -72,21 +72,17 @@ class ExplainResult:
 
 
 def explain_solve(
-    bench: int = 1,
-    size: int = 16,
-    mesh: tuple[int, int] = (4, 4),
-    seed: int = 1998,
+    instance: PaperInstance,
     scheduler: str = "GOMCDS",
     kernel: str = "numpy",
-    capacity_multiplier: float = 2.0,
     fail_node: int | None = None,
     fail_window: int = 0,
 ):
     """The solve ``repro explain``'s flags name, ready to run.
 
-    Returns ``(solve, tensor, model, label, method)`` where
-    ``solve(instrument)`` runs the scheduler on the benchmark instance.
-    ``fail_node`` switches to the fault-aware rescheduler
+    Returns ``(solve, label, method)`` where ``solve(instrument)`` runs
+    the scheduler on ``instance``.  ``fail_node`` switches to the
+    fault-aware rescheduler
     (:func:`repro.core.reschedule.reschedule_around_faults`) with that
     processor down from window ``fail_window`` on; otherwise
     ``scheduler`` must be one that records decisions (SCDS, LOMCDS,
@@ -95,8 +91,7 @@ def explain_solve(
     this call, so the overhead gate times exactly the solve being
     explained.
     """
-    instance = paper_instance(bench, size, mesh, seed, capacity_multiplier)
-    label = f"bench{bench}:{BENCHMARK_NAMES[bench]}"
+    label = f"bench{instance.bench}:{BENCHMARK_NAMES[instance.bench]}"
     plan = None
     if fail_node is not None:
         plan = FaultPlan(
@@ -117,31 +112,25 @@ def explain_solve(
             scheduler, faults=plan, kernel=kernel, instrument=instrument
         )
 
-    return solve, instance.tensor, instance.model, label, method
+    return solve, label, method
 
 
 def explain_workload(
-    bench: int = 1,
-    size: int = 16,
-    mesh: tuple[int, int] = (4, 4),
-    seed: int = 1998,
+    instance: PaperInstance,
     scheduler: str = "GOMCDS",
     kernel: str = "numpy",
-    capacity_multiplier: float = 2.0,
     fail_node: int | None = None,
     fail_window: int = 0,
     check: bool = True,
 ) -> ExplainResult:
-    """Solve one benchmark with provenance on and audit the log.
+    """Solve ``instance`` with provenance on and audit the log.
 
-    The instance and solve come from :func:`explain_solve` (same
-    arguments); a faulted reschedule and its fault-free solve are the
-    natural "A" and "B" inputs for ``repro explain --diff``.
+    The solve comes from :func:`explain_solve` (same arguments); a
+    faulted reschedule and its fault-free solve are the natural "A" and
+    "B" inputs for ``repro explain --diff``.
     """
-    solve, tensor, model, label, method = explain_solve(
-        bench=bench, size=size, mesh=mesh, seed=seed, scheduler=scheduler,
-        kernel=kernel, capacity_multiplier=capacity_multiplier,
-        fail_node=fail_node, fail_window=fail_window,
+    solve, label, method = explain_solve(
+        instance, scheduler, kernel, fail_node, fail_window
     )
     instr = Instrumentation.started(provenance=True)
     solved = solve(instr)
@@ -150,10 +139,11 @@ def explain_workload(
         raise RuntimeError(f"{method} recorded no decision log under provenance")
     log = instr.provenance.logs[-1]
     log.label = label
-    log.meta.setdefault("benchmark", bench)
-    log.meta.setdefault("size", size)
-    log.meta.setdefault("seed", seed)
+    log.meta.setdefault("benchmark", instance.bench)
+    log.meta.setdefault("size", instance.size)
+    log.meta.setdefault("seed", instance.seed)
 
+    tensor, model = instance.tensor, instance.model
     breakdown = evaluate_schedule(solved, tensor, model)
     diagnostics = (
         list(check_provenance_log(log, solved, tensor, model)) if check else []

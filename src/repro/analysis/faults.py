@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..core import evaluate_schedule
 from ..faults import FaultPlan, RetryPolicy
 from ..sim import replay_schedule
-from ..workloads import PaperInstance, paper_instance
+from ..workloads import PaperInstance
 
 __all__ = ["run_fault_replay", "fault_sweep", "DEFAULT_FAULT_RATES"]
 
@@ -21,34 +21,20 @@ DEFAULT_FAULT_RATES = (0.0, 0.05, 0.1, 0.2, 0.3)
 
 def run_fault_replay(
     plan: FaultPlan,
-    bench: int = 1,
-    size: int = 8,
-    mesh: tuple[int, int] = (4, 4),
+    instance: PaperInstance,
     scheduler: str = "GOMCDS",
     reschedule: bool = False,
     retry: RetryPolicy | None = None,
     evacuate: bool = True,
-    capacity_multiplier: float = 2.0,
-    seed: int = 1998,
 ) -> dict:
-    """Replay one benchmark under ``plan`` and summarize the degradation.
+    """Replay ``instance`` under ``plan`` and summarize the degradation.
 
-    Returns a flat row with the fault-free analytic cost, the degraded
-    replay's costs and the per-outcome reference accounting.
+    With ``reschedule`` the centers are recomputed around ``plan`` first
+    (:meth:`~repro.workloads.PaperInstance.solve` with the plan);
+    otherwise ``scheduler`` solves the fault-free instance.  Returns a
+    flat row with the fault-free analytic cost, the degraded replay's
+    costs and the per-outcome reference accounting.
     """
-    instance = paper_instance(bench, size, mesh, seed, capacity_multiplier)
-    return _replay(instance, plan, scheduler, reschedule, retry, evacuate)
-
-
-def _replay(
-    instance: PaperInstance,
-    plan: FaultPlan,
-    scheduler: str,
-    reschedule: bool,
-    retry: RetryPolicy | None = None,
-    evacuate: bool = True,
-) -> dict:
-    """:func:`run_fault_replay` on an instance built by the caller."""
     tensor, model = instance.tensor, instance.model
     plan.validate_for(model.topology, tensor.n_windows)
     schedule = instance.solve(scheduler, faults=plan if reschedule else None)
@@ -83,19 +69,16 @@ def _replay(
 
 
 def fault_sweep(
+    instance: PaperInstance,
     node_rates=DEFAULT_FAULT_RATES,
     link_rate: float = 0.0,
     drop_rate: float = 0.0,
-    bench: int = 1,
-    size: int = 8,
-    mesh: tuple[int, int] = (4, 4),
     scheduler: str = "GOMCDS",
     reschedule: bool = False,
     fault_seed: int = 0,
-    seed: int = 1998,
 ) -> list[dict]:
-    """Sweep node-failure rates and report cost/completion degradation."""
-    instance = paper_instance(bench, size, mesh, seed)
+    """Sweep node-failure rates on ``instance`` and report the
+    cost/completion degradation, one row per rate."""
     rows = []
     for rate in node_rates:
         plan = FaultPlan.random(
@@ -106,8 +89,8 @@ def fault_sweep(
             drop_rate=drop_rate,
             seed=fault_seed,
         )
-        row = _replay(
-            instance, plan, scheduler, reschedule and not plan.is_empty
+        row = run_fault_replay(
+            plan, instance, scheduler, reschedule and not plan.is_empty
         )
         rows.append(
             {

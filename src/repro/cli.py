@@ -42,10 +42,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .analysis import (
     fault_sweep,
+    run_fault_replay,
     ablation_array_size,
     ablation_grouping_strategy,
     ablation_memory_pressure,
@@ -123,6 +125,55 @@ def _with_failed_nodes(plan: FaultPlan, args) -> FaultPlan:
     return dataclasses.replace(plan, node_faults=plan.node_faults + explicit)
 
 
+def _instance_parent(
+    *, seed: bool = True, capacity_multiplier: bool = True
+) -> argparse.ArgumentParser:
+    """The flags that name a paper instance, as a fresh argparse parent.
+
+    ``--bench/--size/--mesh/--scheduler``, plus ``--seed`` and
+    ``--capacity-multiplier`` where the subcommand reads them.  Each
+    subcommand gets its own parent, so its ``set_defaults`` cannot move
+    another subcommand's defaults.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--bench", type=int, default=1, help="paper benchmark id (1-5)"
+    )
+    parent.add_argument("--size", type=int, default=8, help="matrix size n")
+    parent.add_argument(
+        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS"),
+        help="processor array shape",
+    )
+    parent.add_argument(
+        "--scheduler", type=_scheduler_name, default="GOMCDS", metavar="NAME",
+        help="scheduler that solves the instance",
+    )
+    if seed:
+        parent.add_argument(
+            "--seed", type=int, default=1998, help="workload seed"
+        )
+    if capacity_multiplier:
+        parent.add_argument(
+            "--capacity-multiplier", type=float, default=2.0,
+            help="paper-rule capacity sizing",
+        )
+    return parent
+
+
+def _instance(args, seed: int | None = None):
+    """The paper instance the :func:`_instance_parent` flags name
+    (``seed`` overrides ``--seed``)."""
+    from .workloads import paper_instance
+
+    return paper_instance(
+        args.bench,
+        args.size,
+        tuple(args.mesh),
+        args.seed if seed is None else seed,
+        getattr(args, "capacity_multiplier", 2.0),
+    )
+
+
 def _render_rows(rows: list[dict]) -> str:
     if not rows:
         return "(no rows)"
@@ -158,25 +209,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kwargs):
-        return sub.add_parser(name, parents=[metrics_parent], **kwargs)
+    def add_parser(name: str, *parents, **kwargs):
+        return sub.add_parser(
+            name, parents=[metrics_parent, *parents], **kwargs
+        )
 
-    for name in ("table1", "table2"):
-        _add_common(add_parser(name, help=f"regenerate {name}"))
-    add_parser("figure1", help="the section 3.3 worked example")
-    add_parser("extended", help="extended kernel suite (FFT/SOR/Floyd/bitonic)")
-    add_parser("ablation-window", help="window-size sweep (DESIGN.md A)")
-    add_parser("ablation-array", help="array-size sweep (DESIGN.md B)")
-    add_parser("ablation-memory", help="memory-pressure sweep (DESIGN.md C)")
-    add_parser("ablation-grouping", help="grouping strategies (DESIGN.md D)")
-    add_parser("ablation-partition", help="iteration-partition sweep (E)")
-    add_parser("ablation-online", help="online vs offline scheduling (F)")
-    add_parser("ablation-replication", help="k-replica placement (G)")
-    add_parser("ablation-refine", help="local-search refinement (H)")
-    add_parser("ablation-segmentation", help="window boundary strategies (I)")
-    add_parser("ablation-static", help="greedy vs optimal static placement (J)")
-    add_parser("seeds", help="seed sensitivity of the improvements")
-    add_parser("ablation-budget", help="movement-budget Pareto frontier (K)")
+    for name, runner in (("table1", run_table1), ("table2", run_table2)):
+        table = add_parser(name, help=f"regenerate {name}")
+        _add_common(table)
+        table.set_defaults(run=functools.partial(_run_table, runner))
+    for name, help_text, run in _REPORTS:
+        add_parser(name, help=help_text).set_defaults(run=run)
     _add_batch_parser(add_parser)
     _add_tail_parser(add_parser)
     _add_faults_parser(add_parser)
@@ -195,10 +238,10 @@ def main(argv: list[str] | None = None) -> int:
 
             instr = Instrumentation.started()
             with instrumented(instr):
-                code = _dispatch(args)
+                code = args.run(args)
             write_export(instr, "jsonl", args.metrics)
             return code
-        return _dispatch(args)
+        return args.run(args)
     except (CapacityError, ValueError) as exc:
         # FaultConfigError subclasses ValueError; CapacityError covers
         # infeasible memory/fault configurations.
@@ -213,6 +256,7 @@ def _add_batch_parser(add_parser) -> None:
         "content-addressed dedup, shared solve cache, optional worker "
         "fan-out (docs/performance.md)",
     )
+    parser.set_defaults(run=_run_batch)
     parser.add_argument(
         "--benchmarks", type=int, nargs="+", default=[1, 2, 3, 4, 5],
         help="paper benchmark ids to solve (1-5)",
@@ -364,6 +408,7 @@ def _add_tail_parser(add_parser) -> None:
         "(batch --telemetry, --metrics, or a flight-recorder dump); "
         "docs/observability.md",
     )
+    parser.set_defaults(run=_run_tail)
     parser.add_argument(
         "path", metavar="PATH", help="JSON-lines telemetry file to read"
     )
@@ -449,16 +494,11 @@ def _run_tail(args) -> int:
 def _add_faults_parser(add_parser) -> None:
     parser = add_parser(
         "faults",
+        _instance_parent(capacity_multiplier=False),
         help="fault-injection replay: degradation under node/link/message "
         "failures (docs/fault-model.md)",
     )
-    parser.add_argument("--bench", type=int, default=1, help="paper benchmark id")
-    parser.add_argument("--size", type=int, default=8, help="matrix size n")
-    parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS")
-    )
-    parser.add_argument("--scheduler", type=_scheduler_name, default="GOMCDS")
-    parser.add_argument("--seed", type=int, default=1998, help="workload seed")
+    parser.set_defaults(run=_run_faults)
     parser.add_argument(
         "--fault-seed", type=int, default=0, help="seed for sampled fault plans"
     )
@@ -505,10 +545,12 @@ def _add_faults_parser(add_parser) -> None:
 def _add_chaos_parser(add_parser) -> None:
     parser = add_parser(
         "chaos",
+        _instance_parent(seed=False, capacity_multiplier=False),
         help="chaos campaign: seeded fault storms against the online-"
         "recovery invariants (docs/fault-model.md); exits 0 clean / 3 on "
         "an invariant violation",
     )
+    parser.set_defaults(run=_run_chaos)
     parser.add_argument(
         "--seed", type=int, default=7, help="campaign seed (storms derive "
         "from it deterministically)",
@@ -517,12 +559,6 @@ def _add_chaos_parser(add_parser) -> None:
         "--scenarios", type=int, default=10, help="number of fault storms "
         "(scenario 0 is always the fault-free control)",
     )
-    parser.add_argument("--bench", type=int, default=1, help="paper benchmark id")
-    parser.add_argument("--size", type=int, default=8, help="matrix size n")
-    parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS")
-    )
-    parser.add_argument("--scheduler", type=_scheduler_name, default="GOMCDS")
     parser.add_argument(
         "--checkpoint-interval", type=int, default=2,
         help="snapshot cadence (also the rollback-depth bound)",
@@ -554,16 +590,13 @@ def _run_chaos(args) -> int:
     from .analysis import run_chaos_campaign
 
     report = run_chaos_campaign(
+        instance=_instance(args, seed=args.workload_seed),
         seed=args.seed,
         n_scenarios=args.scenarios,
-        bench=args.bench,
-        size=args.size,
-        mesh=tuple(args.mesh),
         scheduler=args.scheduler,
         checkpoint_interval=args.checkpoint_interval,
         max_node_rate=args.max_node_rate,
         max_drop_rate=args.max_drop_rate,
-        workload_seed=args.workload_seed,
     )
     text = (
         json.dumps(report.to_dict(), indent=2)
@@ -591,9 +624,12 @@ def _run_chaos(args) -> int:
 def _add_lint_parser(add_parser) -> None:
     parser = add_parser(
         "lint",
+        _instance_parent(),
         help="static schedule/trace/fault-plan verifier with coded "
-        "diagnostics (docs/lint.md); exits 0 clean / 1 warnings / 2 errors",
+        "diagnostics (docs/lint.md); exits 0 clean / 1 warnings / 2 errors; "
+        "--bench lints a named paper workload instead of files",
     )
+    parser.set_defaults(run=_run_lint, bench=None)
     parser.add_argument(
         "--schedule", metavar="PATH", help=".npz schedule archive to lint"
     )
@@ -604,23 +640,8 @@ def _add_lint_parser(add_parser) -> None:
         "--faults", metavar="PATH", help="fault-plan JSON to lint against"
     )
     parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS"),
-        help="processor array the artifacts target",
-    )
-    parser.add_argument(
-        "--bench", type=int, default=None,
-        help="lint a named paper workload (1-5) instead of files",
-    )
-    parser.add_argument("--size", type=int, default=8, help="matrix size n")
-    parser.add_argument("--scheduler", type=_scheduler_name, default="GOMCDS")
-    parser.add_argument("--seed", type=int, default=1998)
-    parser.add_argument(
         "--capacity", type=int, default=None,
         help="uniform per-processor capacity to lint against",
-    )
-    parser.add_argument(
-        "--capacity-multiplier", type=float, default=2.0,
-        help="paper-rule capacity sizing for --bench runs",
     )
     parser.add_argument(
         "--no-capacity", action="store_true",
@@ -674,26 +695,14 @@ def _add_lint_parser(add_parser) -> None:
 def _add_certify_parser(add_parser) -> None:
     parser = add_parser(
         "certify",
+        _instance_parent(),
         help="static schedule certifier: abstract interpretation, optimality "
         "certificates and a static-vs-dynamic differential gate "
         "(docs/certify.md); exits 0 clean / 1 warnings / 2 static errors / "
-        "3 divergence",
+        "3 divergence; --bench certifies a named paper workload, scheduled "
+        "with a certificate-emitting run",
     )
-    parser.add_argument(
-        "--bench", type=int, default=None,
-        help="certify a named paper workload (1-5), scheduling it with a "
-        "certificate-emitting run",
-    )
-    parser.add_argument("--size", type=int, default=8, help="matrix size n")
-    parser.add_argument("--scheduler", type=_scheduler_name, default="GOMCDS")
-    parser.add_argument("--seed", type=int, default=1998)
-    parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS")
-    )
-    parser.add_argument(
-        "--capacity-multiplier", type=float, default=2.0,
-        help="paper-rule capacity sizing for --bench runs",
-    )
+    parser.set_defaults(run=_run_certify, bench=None)
     parser.add_argument(
         "--schedule", metavar="PATH",
         help=".npz schedule archive to certify instead of --bench "
@@ -774,14 +783,7 @@ def _run_certify(args) -> int:
     )
     if args.bench is not None:
         report = certify_workload(
-            args.bench,
-            args.size,
-            topology,
-            scheduler=args.scheduler,
-            seed=args.seed,
-            capacity_multiplier=args.capacity_multiplier,
-            faults=faults,
-            **common,
+            _instance(args), args.scheduler, faults, **common
         )
     elif args.schedule is not None:
         if args.trace is None:
@@ -826,6 +828,7 @@ def _add_profile_parser(add_parser) -> None:
         help="instrumented scheduling + replay: span trace, per-window "
         "metrics and cost results (docs/observability.md)",
     )
+    parser.set_defaults(run=_run_profile)
     parser.add_argument(
         "--workload", default="suite",
         help="'suite' or a paper kernel name (lu/matsq/code+rev/...) "
@@ -876,21 +879,12 @@ def _add_profile_parser(add_parser) -> None:
 def _add_heatmap_parser(add_parser) -> None:
     parser = add_parser(
         "heatmap",
+        _instance_parent(),
         help="spatial telemetry of one replayed schedule: processor/link "
         "ASCII heatmaps + congestion diagnostics (docs/observability.md); "
         "exits 0 clean / 1 warnings / 2 errors",
     )
-    parser.add_argument("--bench", type=int, default=1, help="paper benchmark id")
-    parser.add_argument("--size", type=int, default=16, help="matrix size n")
-    parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS")
-    )
-    parser.add_argument("--scheduler", type=_scheduler_name, default="GOMCDS")
-    parser.add_argument("--seed", type=int, default=1998)
-    parser.add_argument(
-        "--capacity-multiplier", type=float, default=2.0,
-        help="paper-rule capacity sizing",
-    )
+    parser.set_defaults(run=_run_heatmap, size=16)
     parser.add_argument(
         "--top-k", type=int, default=5, help="hot links listed in the report"
     )
@@ -911,6 +905,7 @@ def _add_bench_compare_parser(add_parser) -> None:
         "tracked baseline (costs exact, timings within tolerance); "
         "exits 0 clean / 1 warnings / 2 errors",
     )
+    parser.set_defaults(run=_run_bench_compare)
     parser.add_argument(
         "--baseline", metavar="PATH", default="BENCH_schedulers.json",
         help="tracked baseline report (benchmarks/bench_profile.py output)",
@@ -946,28 +941,17 @@ def _add_bench_compare_parser(add_parser) -> None:
 def _add_explain_parser(add_parser) -> None:
     parser = add_parser(
         "explain",
+        _instance_parent(),
         help="decision provenance for one solve: per-window decision "
         "tables, per-datum timelines, counterfactual deltas and exact "
         "cost attribution (docs/explain.md); exits 3 when the log "
-        "diverges from the schedule (VER012)",
+        "diverges from the schedule (VER012); --scheduler is one of "
+        "SCDS/LOMCDS/GOMCDS",
     )
-    parser.add_argument("--bench", type=int, default=1, help="paper benchmark id")
-    parser.add_argument("--size", type=int, default=16, help="matrix size n")
-    parser.add_argument(
-        "--mesh", type=int, nargs=2, default=[4, 4], metavar=("ROWS", "COLS")
-    )
-    parser.add_argument("--seed", type=int, default=1998)
-    parser.add_argument(
-        "--scheduler", type=_scheduler_name, default="GOMCDS", metavar="NAME",
-        help="scheduler to explain (SCDS/LOMCDS/GOMCDS)",
-    )
+    parser.set_defaults(run=_run_explain, size=16)
     parser.add_argument(
         "--kernel", choices=("numpy", "python"), default="numpy",
         help="solver kernel; the python oracle doubles as a provenance oracle",
-    )
-    parser.add_argument(
-        "--capacity-multiplier", type=float, default=2.0,
-        help="paper-rule capacity sizing",
     )
     parser.add_argument(
         "--fail-node", type=int, default=None, metavar="PID",
@@ -1048,19 +1032,12 @@ def _run_explain(args) -> int:
         _write_or_print(text, args.output)
         return EXIT_OK
 
-    instance = dict(
-        bench=args.bench,
-        size=args.size,
-        mesh=tuple(args.mesh),
-        seed=args.seed,
-        scheduler=args.scheduler,
-        kernel=args.kernel,
-        capacity_multiplier=args.capacity_multiplier,
-        fail_node=args.fail_node,
-        fail_window=args.fail_window,
+    solve_args = (
+        _instance(args), args.scheduler, args.kernel, args.fail_node,
+        args.fail_window,
     )
     if args.max_overhead_pct is not None:
-        solve, _, _, label, method = explain_solve(**instance)
+        solve, label, method = explain_solve(*solve_args)
         report, _ = overhead_probe(
             lambda instrument: [
                 solve(instrument) for _ in range(_EXPLAIN_SOLVES_PER_RUN)
@@ -1093,7 +1070,7 @@ def _run_explain(args) -> int:
             return EXIT_CONFIG_ERROR
         return EXIT_OK
 
-    result = explain_workload(**instance)
+    result = explain_workload(*solve_args)
     data = None if args.datum is None else [args.datum]
     windows = None if args.window is None else [args.window]
     if args.fmt == "human":
@@ -1166,12 +1143,8 @@ def _run_heatmap(args) -> int:
     from .analysis import render_heatmap, render_link_heatmap
     from .obs import Instrumentation, analyze_spatial
     from .sim import replay_schedule
-    from .workloads import paper_instance
 
-    instance = paper_instance(
-        args.bench, args.size, tuple(args.mesh), args.seed,
-        args.capacity_multiplier,
-    )
+    instance = _instance(args)
     topology = instance.model.topology
     sched = instance.solve(args.scheduler)
     instr = Instrumentation.started(spatial=True)
@@ -1278,13 +1251,7 @@ def _run_lint(args) -> int:
     )
     if args.bench is not None:
         context = workload_context(
-            args.bench,
-            args.size,
-            topology,
-            scheduler=args.scheduler,
-            seed=args.seed,
-            capacity_multiplier=args.capacity_multiplier,
-            faults=file_context.faults,
+            _instance(args), args.scheduler, file_context.faults
         )
         # file artifacts override the generated ones, so a schedule
         # archive can be linted against a named workload's trace
@@ -1384,18 +1351,15 @@ def _write_fixed_artifacts(args, context, modified: set[str]) -> None:
 
 
 def _run_faults(args) -> int:
-    mesh = tuple(args.mesh)
+    instance = _instance(args)
     if args.sweep:
         rows = fault_sweep(
+            instance,
             link_rate=args.link_rate,
             drop_rate=args.drop_rate,
-            bench=args.bench,
-            size=args.size,
-            mesh=mesh,
             scheduler=args.scheduler,
             reschedule=args.reschedule,
             fault_seed=args.fault_seed,
-            seed=args.seed,
         )
         print("Fault sweep (node-failure rate vs cost/completion)")
         # rates like 0.05 must not collapse to "0.1" under the table's
@@ -1412,13 +1376,8 @@ def _run_faults(args) -> int:
             return EXIT_UNREACHABLE_DATA
         return EXIT_OK
 
-    from .analysis.faults import _replay
-    from .workloads import paper_instance
-
-    instance = paper_instance(args.bench, args.size, mesh, args.seed)
-    topology = instance.model.topology
     sampled = FaultPlan.random(
-        topology,
+        instance.model.topology,
         n_windows=instance.tensor.n_windows,
         node_rate=args.node_rate,
         link_rate=args.link_rate,
@@ -1426,10 +1385,9 @@ def _run_faults(args) -> int:
         seed=args.fault_seed,
     )
     plan = _with_failed_nodes(sampled, args)
-    plan.validate_for(topology)
-    row = _replay(
-        instance,
+    row = run_fault_replay(
         plan,
+        instance,
         args.scheduler,
         args.reschedule,
         retry=RetryPolicy(deadline=args.deadline, max_retries=args.retries),
@@ -1437,7 +1395,7 @@ def _run_faults(args) -> int:
     )
     print(
         f"Fault replay (benchmark {args.bench}, {args.size}x{args.size}, "
-        f"{mesh[0]}x{mesh[1]} array, scheduler {row['scheduler']})"
+        f"{args.mesh[0]}x{args.mesh[1]} array, scheduler {row['scheduler']})"
     )
     print(f"  node faults: {len(plan.node_faults)}, link faults: "
           f"{len(plan.link_faults)}, drop rate: {plan.drop_rate}")
@@ -1456,78 +1414,80 @@ def _run_faults(args) -> int:
     return EXIT_OK
 
 
-def _dispatch(args) -> int:
-    if args.command == "batch":
-        return _run_batch(args)
-    if args.command == "tail":
-        return _run_tail(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "certify":
-        return _run_certify(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "heatmap":
-        return _run_heatmap(args)
-    if args.command == "bench-compare":
-        return _run_bench_compare(args)
-    if args.command == "explain":
-        return _run_explain(args)
-    if args.command in ("table1", "table2"):
-        sizes = tuple(args.sizes if not args.fast else [8, 16])
-        runner = run_table1 if args.command == "table1" else run_table2
-        table = runner(
-            sizes=sizes,
-            benchmarks=tuple(args.benchmarks),
-            mesh=tuple(args.mesh),
-            capacity_multiplier=args.capacity_multiplier,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        print(render_table(table))
-    elif args.command == "extended":
-        print(render_table(run_extended_table()))
-    elif args.command == "figure1":
-        result = run_figure1()
-        print("Figure 1 / section 3.3 worked example (reconstructed counts)")
-        print(f"  SCDS   center {result.scds_center}, cost {result.scds_cost:.0f}")
-        print(
-            f"  LOMCDS centers {result.lomcds_centers}, cost {result.lomcds_cost:.0f}"
-        )
-        print(
-            f"  GOMCDS centers {result.gomcds_centers}, cost {result.gomcds_cost:.0f}"
-        )
-    elif args.command == "ablation-window":
-        print(_render_rows(ablation_window_size()))
-    elif args.command == "ablation-array":
-        print(_render_rows(ablation_array_size()))
-    elif args.command == "ablation-memory":
-        print(_render_rows(ablation_memory_pressure()))
-    elif args.command == "ablation-grouping":
-        result = ablation_grouping_strategy()
-        for key, value in result.items():
-            print(f"  {key}: {_fmt(value)}")
-    elif args.command == "ablation-partition":
-        print(_render_rows(ablation_partition_schemes()))
-    elif args.command == "ablation-online":
-        print(_render_rows(ablation_online_lookahead()))
-    elif args.command == "ablation-replication":
-        print(_render_rows(ablation_replication()))
-    elif args.command == "ablation-refine":
-        print(_render_rows(ablation_refinement()))
-    elif args.command == "ablation-segmentation":
-        print(_render_rows(ablation_window_segmentation()))
-    elif args.command == "ablation-static":
-        print(_render_rows(ablation_static_optimality()))
-    elif args.command == "seeds":
-        print(_render_rows(seed_sensitivity()))
-    elif args.command == "ablation-budget":
-        print(_render_rows(ablation_movement_budget()))
+def _run_table(runner, args) -> int:
+    table = runner(
+        sizes=tuple(args.sizes if not args.fast else [8, 16]),
+        benchmarks=tuple(args.benchmarks),
+        mesh=tuple(args.mesh),
+        capacity_multiplier=args.capacity_multiplier,
+        seed=args.seed,
+        workers=args.workers,
+    )
+    print(render_table(table))
     return EXIT_OK
+
+
+def _run_extended(args) -> int:
+    print(render_table(run_extended_table()))
+    return EXIT_OK
+
+
+def _run_figure1(args) -> int:
+    result = run_figure1()
+    print("Figure 1 / section 3.3 worked example (reconstructed counts)")
+    print(f"  SCDS   center {result.scds_center}, cost {result.scds_cost:.0f}")
+    print(
+        f"  LOMCDS centers {result.lomcds_centers}, cost {result.lomcds_cost:.0f}"
+    )
+    print(
+        f"  GOMCDS centers {result.gomcds_centers}, cost {result.gomcds_cost:.0f}"
+    )
+    return EXIT_OK
+
+
+def _run_grouping(args) -> int:
+    for key, value in ablation_grouping_strategy().items():
+        print(f"  {key}: {_fmt(value)}")
+    return EXIT_OK
+
+
+def _rows(ablation):
+    """A subcommand that prints ``ablation()``'s rows as one table."""
+
+    def run(args) -> int:
+        print(_render_rows(ablation()))
+        return EXIT_OK
+
+    return run
+
+
+#: The report subcommands that take no options: (name, help, runner).
+_REPORTS = (
+    ("figure1", "the section 3.3 worked example", _run_figure1),
+    ("extended", "extended kernel suite (FFT/SOR/Floyd/bitonic)", _run_extended),
+    ("ablation-window", "window-size sweep (DESIGN.md A)",
+     _rows(ablation_window_size)),
+    ("ablation-array", "array-size sweep (DESIGN.md B)",
+     _rows(ablation_array_size)),
+    ("ablation-memory", "memory-pressure sweep (DESIGN.md C)",
+     _rows(ablation_memory_pressure)),
+    ("ablation-grouping", "grouping strategies (DESIGN.md D)", _run_grouping),
+    ("ablation-partition", "iteration-partition sweep (E)",
+     _rows(ablation_partition_schemes)),
+    ("ablation-online", "online vs offline scheduling (F)",
+     _rows(ablation_online_lookahead)),
+    ("ablation-replication", "k-replica placement (G)",
+     _rows(ablation_replication)),
+    ("ablation-refine", "local-search refinement (H)",
+     _rows(ablation_refinement)),
+    ("ablation-segmentation", "window boundary strategies (I)",
+     _rows(ablation_window_segmentation)),
+    ("ablation-static", "greedy vs optimal static placement (J)",
+     _rows(ablation_static_optimality)),
+    ("seeds", "seed sensitivity of the improvements", _rows(seed_sensitivity)),
+    ("ablation-budget", "movement-budget Pareto frontier (K)",
+     _rows(ablation_movement_budget)),
+)
 
 
 if __name__ == "__main__":  # pragma: no cover

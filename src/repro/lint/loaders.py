@@ -17,6 +17,7 @@ from ..faults import FaultConfigError, FaultPlan
 from ..grid import Topology
 from ..mem import CapacityPlan
 from ..trace import load_schedule, load_trace
+from ..workloads import PaperInstance
 from .context import LintContext
 
 __all__ = ["load_context", "workload_context"]
@@ -80,31 +81,20 @@ def load_context(
 
 
 def workload_context(
-    bench: int,
-    size: int,
-    topology: Topology,
+    instance: PaperInstance,
     scheduler: str = "GOMCDS",
-    seed: int = 1998,
-    capacity_multiplier: float = 2.0,
     faults: FaultPlan | None = None,
 ) -> LintContext:
-    """Generate a named paper workload, schedule it, and wrap it for lint.
+    """Schedule a paper instance and wrap it for lint.
 
     This is the CI gating path: every bundled benchmark scheduled by the
-    production scheduler must lint clean.  The instance is
-    :func:`~repro.workloads.paper_instance` on a 2-D mesh of
-    ``topology.shape``.
+    production scheduler must lint clean.
     """
-    from ..workloads import paper_instance
-
-    instance = paper_instance(
-        bench, size, topology.shape, seed, capacity_multiplier
-    )
     return LintContext(
         schedule=instance.solve(scheduler),
         trace=instance.workload.trace,
         windows=instance.workload.windows,
-        topology=topology,
+        topology=instance.model.topology,
         capacity=instance.capacity,
         faults=faults,
         model=instance.model,

@@ -5,8 +5,9 @@ benchmark 1-5 at matrix size ``n`` on a 4x4 array, with each
 processor's memory twice the balanced minimum.  :func:`paper_instance`
 builds that instance (workload, reference tensor, cost model, capacity
 plan) and :meth:`PaperInstance.solve` schedules it — around a fault plan
-when one is given, else with the named registry scheduler — so the CLI,
-the lint and certify gates and the experiments share one construction.
+when one is given, else with the named registry scheduler.  The CLI
+builds one instance from its ``--bench/--size/--mesh/--seed`` flags and
+hands it to the lint, certify, explain, fault and chaos entry points.
 """
 
 from __future__ import annotations
@@ -27,10 +28,15 @@ __all__ = ["PaperInstance", "paper_instance", "instance_of"]
 
 @dataclass(frozen=True)
 class PaperInstance:
-    """One benchmark instance under the paper's memory rule."""
+    """One benchmark instance under the paper's memory rule.
+
+    ``seed`` is the workload seed it was built with (``None`` for a
+    workload the caller built).
+    """
 
     bench: int | str
     size: int
+    seed: int | None
     workload: WorkloadInstance
     tensor: ReferenceTensor
     model: CostModel
@@ -76,6 +82,7 @@ def instance_of(
     bench: int | str,
     size: int,
     capacity_multiplier: float = 2.0,
+    seed: int | None = None,
 ) -> PaperInstance:
     """Wrap an already-built workload (another partition scheme, an
     extended kernel) with its tensor, cost model and paper-rule capacity."""
@@ -83,6 +90,7 @@ def instance_of(
     return PaperInstance(
         bench=bench,
         size=size,
+        seed=seed,
         workload=workload,
         tensor=workload.reference_tensor(),
         model=CostModel(topology),
@@ -106,4 +114,4 @@ def paper_instance(
     CODE kernel in benchmarks 3-5.
     """
     workload = benchmark(bench, size, Mesh2D(*mesh), seed=seed)
-    return instance_of(workload, bench, size, capacity_multiplier)
+    return instance_of(workload, bench, size, capacity_multiplier, seed)

@@ -20,6 +20,7 @@ from repro.faults import (
 from repro.grid import structural_neighbors
 from repro.mem import CapacityError
 from repro.sim import PIMArray
+from repro.workloads import paper_instance
 
 STRUCTURAL = (
     "index", "seed", "mode", "n_node_faults", "n_link_faults", "drop_rate",
@@ -36,7 +37,7 @@ def structural(scenario):
 
 @pytest.fixture(scope="module")
 def campaign():
-    return run_chaos_campaign(seed=7, n_scenarios=4)
+    return run_chaos_campaign(paper_instance(1, 8), seed=7, n_scenarios=4)
 
 
 class TestCampaign:
@@ -63,13 +64,13 @@ class TestCampaign:
             assert s.max_rollback_depth <= campaign.checkpoint_interval
 
     def test_same_seed_is_structurally_deterministic(self, campaign):
-        again = run_chaos_campaign(seed=7, n_scenarios=4)
+        again = run_chaos_campaign(paper_instance(1, 8), seed=7, n_scenarios=4)
         assert [structural(s) for s in campaign.scenarios] == [
             structural(s) for s in again.scenarios
         ]
 
     def test_different_seed_samples_different_storms(self, campaign):
-        other = run_chaos_campaign(seed=8, n_scenarios=4)
+        other = run_chaos_campaign(paper_instance(1, 8), seed=8, n_scenarios=4)
         assert [structural(s) for s in campaign.scenarios[1:]] != [
             structural(s) for s in other.scenarios[1:]
         ]
@@ -89,7 +90,7 @@ class TestCampaign:
 
 class TestVerdict:
     def violating_report(self):
-        clean = run_chaos_campaign(seed=7, n_scenarios=2)
+        clean = run_chaos_campaign(paper_instance(1, 8), seed=7, n_scenarios=2)
         bad = dataclasses.replace(
             clean.scenarios[1],
             violations=(

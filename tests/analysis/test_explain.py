@@ -13,12 +13,13 @@ from repro.analysis import (
     render_explain_human,
 )
 from repro.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNREACHABLE_DATA, main
+from repro.workloads import paper_instance
 
 ARGS = ["--bench", "1", "--size", "8", "--mesh", "2", "4"]
 
 
 def test_explain_workload_audits_clean():
-    result = explain_workload(bench=1, size=8, mesh=(2, 4))
+    result = explain_workload(paper_instance(1, 8, (2, 4)))
     assert result.attribution_exact
     assert result.diagnostics == []
     assert result.scheduler == "GOMCDS"
@@ -27,7 +28,7 @@ def test_explain_workload_audits_clean():
 
 def test_explain_workload_faulted_variant():
     result = explain_workload(
-        bench=1, size=8, mesh=(2, 4), fail_node=3, fail_window=1
+        paper_instance(1, 8, (2, 4)), fail_node=3, fail_window=1
     )
     assert result.attribution_exact and not result.diagnostics
     assert result.scheduler == "GOMCDS+faults"
@@ -37,19 +38,21 @@ def test_explain_workload_faulted_variant():
 
 
 def test_explain_workload_faulted_variant_honours_kernel():
-    result = explain_workload(bench=1, size=8, fail_node=5, kernel="python")
+    result = explain_workload(
+        paper_instance(1, 8), fail_node=5, kernel="python"
+    )
     assert result.kernel == "python"
     assert result.attribution_exact and not result.diagnostics
 
 
 def test_explain_workload_rejects_unknown_benchmark():
     with pytest.raises(ValueError, match="unknown benchmark"):
-        explain_workload(bench=9)
+        explain_workload(paper_instance(9, 16))
 
 
 def test_records_round_trip_and_diff(tmp_path):
-    base = explain_workload(bench=1, size=8, mesh=(2, 4))
-    faulted = explain_workload(bench=1, size=8, mesh=(2, 4), fail_node=3)
+    base = explain_workload(paper_instance(1, 8, (2, 4)))
+    faulted = explain_workload(paper_instance(1, 8, (2, 4)), fail_node=3)
     paths = []
     for name, result in (("a", base), ("b", faulted)):
         path = tmp_path / f"{name}.jsonl"
@@ -73,7 +76,7 @@ def test_records_round_trip_and_diff(tmp_path):
 
 
 def test_render_human_modes():
-    result = explain_workload(bench=2, size=8, mesh=(2, 4))
+    result = explain_workload(paper_instance(2, 8, (2, 4)))
     full = render_explain_human(result, top=2)
     assert "attribution: exact (bit-identical)" in full
     assert "timelines (per datum):" in full

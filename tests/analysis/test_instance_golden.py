@@ -23,9 +23,9 @@ from repro.analysis import (
     run_table1,
 )
 from repro.faults import FaultPlan, NodeFault
-from repro.grid import Mesh2D
 from repro.lint import workload_context
 from repro.verify import certify_workload
+from repro.workloads import paper_instance
 
 BENCHES = (1, 2, 3, 4, 5)
 NODE5_FROM_W2 = FaultPlan(node_faults=(NodeFault(pid=5, start=2),))
@@ -75,33 +75,37 @@ def _array_hash(array) -> str:
 
 @pytest.mark.parametrize("reschedule", [False, True])
 def test_fault_replay_golden(reschedule):
-    row = run_fault_replay(NODE5_FROM_W2, bench=1, size=8, reschedule=reschedule)
+    row = run_fault_replay(
+        NODE5_FROM_W2, paper_instance(1, 8), reschedule=reschedule
+    )
     assert _hash(row) == GOLDEN_FAULT_REPLAY[reschedule]
 
 
 def test_fault_sweep_golden():
-    assert _hash(fault_sweep(size=8)) == GOLDEN_FAULT_SWEEP
+    assert _hash(fault_sweep(paper_instance(1, 8))) == GOLDEN_FAULT_SWEEP
 
 
 @pytest.mark.parametrize("bench", BENCHES)
 def test_certify_workload_golden(bench):
-    report = certify_workload(bench, 8, Mesh2D(4, 4))
+    report = certify_workload(paper_instance(bench, 8, (4, 4)))
     assert _hash(report.to_dict()) == GOLDEN_CERTIFY[bench]
 
 
 def test_faulted_certify_workload_golden():
-    report = certify_workload(1, 8, Mesh2D(4, 4), faults=NODE5_FROM_W2)
+    report = certify_workload(
+        paper_instance(1, 8, (4, 4)), faults=NODE5_FROM_W2
+    )
     assert _hash(report.to_dict()) == GOLDEN_CERTIFY["faulted"]
 
 
 @pytest.mark.parametrize("bench", BENCHES)
 def test_workload_context_golden(bench):
-    context = workload_context(bench, 8, Mesh2D(4, 4))
+    context = workload_context(paper_instance(bench, 8, (4, 4)))
     assert _array_hash(context.schedule.centers) == GOLDEN_LINT_CENTERS[bench]
 
 
 def test_explain_workload_golden():
-    records = list(explain_records(explain_workload(1, 8)))
+    records = list(explain_records(explain_workload(paper_instance(1, 8))))
     assert _hash(records) == GOLDEN_EXPLAIN
 
 

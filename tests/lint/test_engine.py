@@ -24,6 +24,7 @@ from repro.lint import (
 )
 from repro.lint.engine import MAX_DIAGNOSTICS_PER_RULE
 from repro.trace import windows_by_step_count
+from repro.workloads import paper_instance
 
 
 def bad_schedule(n_bad=1):
@@ -61,7 +62,7 @@ def test_empty_context_runs_nothing():
 
 
 def test_clean_workload_lints_clean(mesh44):
-    report = run_lint(workload_context(1, 8, mesh44))
+    report = run_lint(workload_context(paper_instance(1, 8, mesh44.shape)))
     assert report.exit_code == EXIT_CLEAN
     assert report.diagnostics == []
     assert "SCH001" in report.rules_run

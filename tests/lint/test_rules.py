@@ -14,7 +14,7 @@ from repro.lint import (
 )
 from repro.mem import CapacityPlan
 from repro.trace import WindowSet, windows_by_step_count
-from repro.workloads import trace_from_counts
+from repro.workloads import paper_instance, trace_from_counts
 
 
 def hotspot_bundle(mesh23, static_pid=None):
@@ -85,7 +85,7 @@ def test_sch003_catches_a_lying_movement_list(mesh23):
 
 
 def test_sch004_trace_mismatches(mesh44):
-    context = workload_context(1, 8, mesh44)
+    context = workload_context(paper_instance(1, 8, mesh44.shape))
     context.schedule = context.schedule.restricted_to(
         np.arange(context.schedule.n_data - 1)
     )
@@ -209,7 +209,7 @@ def test_flt006_schedule_on_dead_node(mesh44):
 
 
 def test_cst001_flags_a_corrupted_evaluator(mesh44, monkeypatch):
-    context = workload_context(1, 8, mesh44)
+    context = workload_context(paper_instance(1, 8, mesh44.shape))
     clean = run_lint(context, select=["CST001"])
     assert clean.diagnostics == []
 
@@ -229,7 +229,7 @@ def test_cst001_flags_a_corrupted_evaluator(mesh44, monkeypatch):
 
 
 def test_cst002_meta_cost_mismatch(mesh44):
-    context = workload_context(1, 8, mesh44)
+    context = workload_context(paper_instance(1, 8, mesh44.shape))
     context.schedule = Schedule(
         centers=context.schedule.centers,
         windows=context.schedule.windows,
@@ -283,7 +283,10 @@ def test_thy002_clean_on_manhattan_model(mesh23):
 def test_gomcds_workloads_are_thy001_clean(mesh44):
     # The paper's greedy scheduler never leaves a one-step improvement.
     for bench in (1, 2, 3):
-        report = run_lint(workload_context(bench, 8, mesh44), select=["THY"])
+        report = run_lint(
+            workload_context(paper_instance(bench, 8, mesh44.shape)),
+            select=["THY"],
+        )
         assert report.diagnostics == [], bench
 
 def test_flt007_checkpoint_interval_bounds(mesh44):

@@ -18,7 +18,7 @@ from repro.verify import (
     certify_workload,
     render_certify_sarif,
 )
-from repro.workloads import benchmark
+from repro.workloads import benchmark, paper_instance
 
 
 def test_bench_mode_certifies_clean(capsys):
@@ -47,7 +47,9 @@ def test_json_format_roundtrips(capsys):
 
 def test_sarif_format_carries_fingerprints():
     mesh = Mesh2D(4, 4)
-    report = certify_workload(1, 8, mesh, require_certificate=True)
+    report = certify_workload(
+        paper_instance(1, 8, mesh.shape), require_certificate=True
+    )
     text = render_certify_sarif(report)
     doc = json.loads(text)
     run = doc["runs"][0]

@@ -49,7 +49,7 @@ def test_solve_reschedules_around_a_fault_plan():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: fault_sweep(node_rates=(0.0, 0.1), size=8),
+        lambda: fault_sweep(paper_instance(1, 8), node_rates=(0.0, 0.1)),
         lambda: main(["faults", "--bench", "1", "--size", "8"]) == EXIT_OK,
     ],
     ids=["fault_sweep", "faults-cli"],
