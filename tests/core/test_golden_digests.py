@@ -10,6 +10,11 @@ every digest unchanged; recording provenance must not perturb any of
 them, and the decision log it produces is pinned as well.  The
 ``-uncapped`` rows run both reschedulers with no capacity plan, where the
 liveness mask is the walk's only constraint.
+
+:data:`GOLDEN_MESHES` pins certified GOMCDS, with and without the
+capacity rule, on other grid shapes: 8x8 at size 16, 4x8 and a 16-node
+line at size 8, and 16x16 at size 8 (benchmark 1), plus one fault
+reschedule on the 8x8 mesh.
 """
 
 import hashlib
@@ -27,7 +32,7 @@ from repro.core import (
     scds,
 )
 from repro.faults import FaultPlan, NodeFault
-from repro.grid import Mesh2D
+from repro.grid import Mesh1D, Mesh2D
 from repro.mem import CapacityPlan
 from repro.obs import Instrumentation
 from repro.trace import build_reference_tensor
@@ -161,3 +166,65 @@ def test_golden_digest(solver, bench, provenance):
     assert _certificate_digest(sched) == certificate
     if provenance:
         assert _log_digest(instrument.provenance.logs[-1]) == log
+
+
+#: (grid, size, bench, capped) -> (centers, certificate) digests.
+GOLDEN_MESHES = {
+    ((8, 8), 16, 1, False): ("1fb8abee1460ab9f", "1fb34dc2c9f8567e"),
+    ((8, 8), 16, 1, True): ("e42a638950756c41", "3a5867494b8a33b9"),
+    ((8, 8), 16, 2, False): ("c0977447059df0fa", "6a931de9aaa9f4b5"),
+    ((8, 8), 16, 2, True): ("7ac7e1c120561e7c", "8673054e3e3f5e2b"),
+    ((8, 8), 16, 3, False): ("a28edb95582f06ba", "0018c38d9393b91f"),
+    ((8, 8), 16, 3, True): ("7e81608a22bd2ea8", "5fff91818f89af96"),
+    ((8, 8), 16, 4, False): ("4a15f39e8b1e11c8", "f0ea8d2b4499037b"),
+    ((8, 8), 16, 4, True): ("8223aeeb1edd0bf1", "b9bb8ee43e95592e"),
+    ((8, 8), 16, 5, False): ("60e97aa7b386819e", "f5d60973ba36e8a4"),
+    ((8, 8), 16, 5, True): ("8da02e6e093639c8", "fe1ab1f3d42aab9b"),
+    ((4, 8), 8, 1, False): ("beb2232e524bab60", "d4a6bf9d8ef7f5fa"),
+    ((4, 8), 8, 1, True): ("812cf5b22e2b72be", "538117b8d5ada41e"),
+    ((4, 8), 8, 2, False): ("dc5cfd3cb17eb5bf", "25e8864823d3c094"),
+    ((4, 8), 8, 2, True): ("bb094775c8aeb133", "48b86cab0e2da9a7"),
+    ((4, 8), 8, 3, False): ("22ee96f3e7829086", "30094fa794eff272"),
+    ((4, 8), 8, 3, True): ("96dd717b9b8aa78d", "c4c13c3cf6884719"),
+    ((4, 8), 8, 4, False): ("8b1e325129479d49", "ec91a456cccec6c0"),
+    ((4, 8), 8, 4, True): ("774a712baa0c4e3a", "db538d187a5b1bff"),
+    ((4, 8), 8, 5, False): ("c07a1c017668f54f", "254653b0044dc865"),
+    ((4, 8), 8, 5, True): ("a3f7f672f39aa2e3", "892d49d1fa4d0968"),
+    ((16,), 8, 1, False): ("1c14b811d5f90005", "dd62341b77538c5e"),
+    ((16,), 8, 1, True): ("af8cd11c6c7b65fe", "635d76665a5babca"),
+    ((16,), 8, 2, False): ("88094cdd16cfa131", "be0f6bbcc3a39c3f"),
+    ((16,), 8, 2, True): ("119932196fbc2a16", "e0b567786e81407f"),
+    ((16,), 8, 3, False): ("6c9c12c42b0db45d", "393c3fa08fd1d6c3"),
+    ((16,), 8, 3, True): ("3b8bcd4ac6c724b2", "1997a2d9115c09e5"),
+    ((16,), 8, 4, False): ("603cb55f6aa07e21", "22f8ba40ee75ee8e"),
+    ((16,), 8, 4, True): ("09c61d0e5b92adc7", "64c0abc72f74b857"),
+    ((16,), 8, 5, False): ("de0a8001e7307156", "0dff3d01dd224617"),
+    ((16,), 8, 5, True): ("de0a8001e7307156", "81f6b30c9025ea0a"),
+    ((16, 16), 8, 1, False): ("ca40ebb55279dcbd", "a557742158339a6d"),
+    ((16, 16), 8, 1, True): ("90609e245959f087", "840a4adf117603c4"),
+}
+
+
+def _mesh_instance(grid, size, bench):
+    topo = Mesh1D(*grid) if len(grid) == 1 else Mesh2D(*grid)
+    wl = make_benchmark(bench, size, topo, seed=1998)
+    tensor = build_reference_tensor(wl.trace, wl.windows)
+    return tensor, CostModel(topo), CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
+
+
+@pytest.mark.parametrize(("grid", "size", "bench", "capped"), list(GOLDEN_MESHES))
+def test_golden_mesh_digest(grid, size, bench, capped):
+    tensor, model, cap = _mesh_instance(grid, size, bench)
+    sched = gomcds(tensor, model, cap if capped else None, certify=True)
+    assert (_digest(sched.centers), _certificate_digest(sched)) == (
+        GOLDEN_MESHES[(grid, size, bench, capped)]
+    )
+
+
+def test_golden_mesh_fault_reschedule():
+    tensor, model, cap = _mesh_instance((8, 8), 16, 1)
+    plan = FaultPlan(node_faults=(NodeFault(pid=27, start=tensor.n_windows // 2),))
+    sched = reschedule_around_faults(tensor, model, plan, cap, certify=True)
+    assert (_digest(sched.centers), _certificate_digest(sched)) == (
+        "1e9e5585812733c9", "83ffeebd769d6dc8",
+    )
