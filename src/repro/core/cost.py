@@ -8,7 +8,8 @@ the transferred volume.  Moving datum ``d`` from center ``j`` to center
 Given the reference tensor ``R[d, w, p]`` the cost of storing datum ``d``
 at *every* candidate center over *every* window is a single matrix
 product, ``C_d = volume(d) * (R_d @ Dist)``, which is what all three
-schedulers consume.
+schedulers consume.  The product runs in float64, where BLAS applies;
+its integer sums are exact in any order while they stay below 2**53.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class CostModel:
             counts = counts[None, :]
         if counts.shape[-1] != self.n_procs:
             raise ValueError("reference counts do not match the processor array")
-        costs = counts @ self.distances
+        costs = counts.astype(np.float64) @ self.distances.astype(np.float64)
         vol = 1.0 if (self.volumes is None or d is None) else self.volume(d)
         return costs * vol
 
@@ -106,9 +107,9 @@ class CostModel:
         """``(n_data, n_windows, n_procs)`` cost tensor ``C`` for all data."""
         if tensor.n_procs != self.n_procs:
             raise ValueError("reference tensor does not match the processor array")
-        costs = tensor.counts @ self.distances
-        vols = self.volume_vector(tensor.n_data)
-        return costs * vols[:, None, None]
+        costs = tensor.counts.astype(np.float64) @ self.distances.astype(np.float64)
+        costs *= self.volume_vector(tensor.n_data)[:, None, None]
+        return costs
 
     def movement_cost(self, d: int, src: int, dst: int) -> float:
         """Cost of relocating datum ``d`` from ``src`` to ``dst``."""

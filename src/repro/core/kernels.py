@@ -13,11 +13,13 @@ Every scheduler in :mod:`repro.core` accepts a ``kernel=`` keyword:
   costs and centers on every instance.
 
 Bit-identity holds because both kernels perform the same elementary
-operations in the same per-element order: reference costs accumulate in
-exact integer arithmetic before the single volume multiply, and each DP
-cell is one multiply plus one add per transition.  Ties break toward
-the lowest index in both kernels (scalar strict-``<`` scans mirror
-``argmin``).
+operations in the same per-element order: reference costs are exact
+integer sums (the numpy kernel's float64 matmul is exact below 2**53)
+before the single volume multiply, and each DP cell is one multiply
+plus one add per transition (the numpy kernel's L1 step on meshes
+reaches the same integer values by exact repeated adds).  Ties break
+toward the lowest index in both kernels (scalar strict-``<`` scans
+mirror ``argmin``).
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def placement_cost_tensor_python(tensor, model) -> np.ndarray:
 
     ``C[d, w, p] = vol(d) * sum_q R[d, w, q] * Dist[q, p]`` with the
     inner sum accumulated in exact integer arithmetic — the same value
-    the int64 matmul produces before its one float multiply.
+    the float64 matmul produces, exactly while its sums stay below
+    2**53, before its one float multiply.
     """
     if tensor.n_procs != model.n_procs:
         raise ValueError("reference tensor does not match the processor array")
