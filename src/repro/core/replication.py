@@ -47,9 +47,6 @@ class ReplicatedPlacement:
     def n_data(self) -> int:
         return len(self.replicas)
 
-    def n_copies(self, d: int) -> int:
-        return len(self.replicas[d])
-
     def total_copies(self) -> int:
         return sum(len(r) for r in self.replicas)
 

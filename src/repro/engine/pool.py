@@ -26,7 +26,8 @@ the parent merges every snapshot back with per-worker ``worker``/
 ``worker_pid`` attribution — one unified timeline, whole-batch
 ``engine.cache.*`` counters.  Telemetry never changes schedules: the
 worker session is observational and the cache key excludes
-``instrument`` by construction.  The inline ``workers=1`` path records
+``instrument`` by construction.  The inline path and every pool
+worker run one per-request protocol (``_run_request``), and both record
 the same ``engine.*`` counter set, so summaries are comparable across
 worker counts.
 """
@@ -40,6 +41,7 @@ from typing import Mapping, Sequence
 
 from ..core import Schedule, scheduler_spec
 from ..obs import (
+    NOOP,
     Instrumentation,
     flight_recorder,
     merge_snapshot,
@@ -95,31 +97,36 @@ def _effective_options(request: ScheduleRequest, kernel: str | None) -> dict:
     return options
 
 
-def _solve_one(
-    request: ScheduleRequest,
-    kernel: str | None,
-    instrument: Instrumentation | None = None,
-):
-    """Solve a single request under ``instrument`` (None = no-op)."""
+def _run_request(request: ScheduleRequest, kernel: str | None, obs):
+    """Solve one request under the per-request protocol; ``(schedule, elapsed)``.
+
+    The inline path and the pool workers both run this, so every solve
+    records a ``solve.start``/``solve.end`` flight-event pair, one
+    ``engine.request`` span around the :func:`repro.schedule` call, and
+    stamps the request label onto the decision logs the solve added.
+    """
     from ..api import schedule
 
-    start = perf_counter()
-    solved = schedule(
-        request.tensor,
-        request.model,
-        algorithm=request.algorithm,
-        capacity=request.capacity,
-        instrument=instrument,
-        **_effective_options(request, kernel),
-    )
-    return solved, perf_counter() - start
-
-
-def _label_decisions(store, request: ScheduleRequest, start: int = 0) -> None:
-    """Stamp the request label onto decision logs it produced."""
-    for log in store.logs[start:]:
+    tags = {"algorithm": request.algorithm, "label": request.label}
+    record_event("solve.start", **tags)
+    logged = len(obs.provenance)
+    options = _effective_options(request, kernel)
+    with obs.span("engine.request", **tags):
+        start = perf_counter()
+        solved = schedule(
+            request.tensor,
+            request.model,
+            algorithm=request.algorithm,
+            capacity=request.capacity,
+            instrument=obs,
+            **options,
+        )
+        elapsed = perf_counter() - start
+    record_event("solve.end", **tags, elapsed_us=elapsed * 1e6)
+    for log in obs.provenance.logs[logged:]:
         if log.label is None:
             log.label = request.label
+    return solved, elapsed
 
 
 def _solve_in_worker(
@@ -128,34 +135,21 @@ def _solve_in_worker(
     collect: bool,
     provenance: bool = False,
 ):
-    """Pool-worker entry: solve, optionally harvesting telemetry.
+    """Pool-worker entry: :func:`_run_request`, optionally harvesting telemetry.
 
     With ``collect`` the solve runs under a fresh recording session —
     solver phase spans, counters, decision logs (when the parent session
     records provenance) and the worker's flight-recorder events for
     *this task* are flattened into a snapshot and shipped home with the
-    result.  Handles never cross the boundary; snapshots do.
+    result.  Handles never cross the boundary; snapshots do.  Without
+    it the solve runs dark and its events stay in the worker's ring.
     """
     if not collect:
-        solved, elapsed = _solve_one(request, kernel)
-        return solved, elapsed, None
+        return (*_run_request(request, kernel, NOOP), None)
     instr = Instrumentation.started(provenance=provenance)
     ring = flight_recorder()
     watermark = ring.next_seq
-    record_event(
-        "solve.start", algorithm=request.algorithm, label=request.label
-    )
-    with instr.span(
-        "engine.request", algorithm=request.algorithm, label=request.label
-    ):
-        solved, elapsed = _solve_one(request, kernel, instrument=instr)
-    record_event(
-        "solve.end",
-        algorithm=request.algorithm,
-        label=request.label,
-        elapsed_us=elapsed * 1e6,
-    )
-    _label_decisions(instr.provenance, request)
+    solved, elapsed = _run_request(request, kernel, instr)
     snap = snapshot(
         instr, label=request.label, events=ring.events_since(watermark)
     )
@@ -239,11 +233,17 @@ def schedule_many(
         )
         obs.count("engine.pool.requests", len(pending))
         obs.count("engine.pool.dedup_hits", len(requests) - len(pending))
-        obs.gauge("engine.pool.workers", 1 if len(pending) <= 1 else workers)
+        inline = workers == 1 or len(pending) <= 1
+        obs.gauge("engine.pool.workers", 1 if inline else workers)
         obs.gauge("engine.pool.queue_depth", len(pending))
 
         try:
-            outcomes = _run_pending(pending, workers, kernel, obs)
+            if inline:
+                outcomes = [
+                    _run_request(request, kernel, obs) for _, request in pending
+                ]
+            else:
+                outcomes = _run_pool(pending, workers, kernel, obs)
         except Exception:
             dump_on_error(
                 f"schedule_many({len(requests)} requests, workers={workers})"
@@ -266,43 +266,22 @@ def schedule_many(
     return [solved[key] for key in keys]
 
 
-def _run_pending(pending, workers, kernel, obs):
-    """Execute the unique solves; returns ``(schedule, elapsed)`` pairs.
+def _run_pool(pending, workers, kernel, obs):
+    """Fan the unique solves over a process pool; ``(schedule, elapsed)`` pairs.
 
-    Inline (``workers=1`` or a single pending solve) records straight
-    into the parent session — same spans, same counters as a worker
-    would produce.  The pooled path harvests one
-    :class:`~repro.obs.TelemetrySnapshot` per solve and merges it with
-    a stable per-worker lane id (first-seen order of worker pids).
+    When ``obs`` records, each worker returns one
+    :class:`~repro.obs.TelemetrySnapshot` per solve, merged here with a
+    stable per-worker lane id (first-seen order of worker pids).
     """
-    if workers == 1 or len(pending) <= 1:
-        outcomes = []
-        for key, request in pending:
-            record_event(
-                "solve.start", algorithm=request.algorithm, label=request.label
-            )
-            logged = len(obs.provenance)
-            with obs.span(
-                "engine.request",
-                algorithm=request.algorithm,
-                label=request.label,
-            ):
-                solved, elapsed = _solve_one(request, kernel, instrument=obs)
-            record_event(
-                "solve.end",
-                algorithm=request.algorithm,
-                label=request.label,
-                elapsed_us=elapsed * 1e6,
-            )
-            _label_decisions(obs.provenance, request, start=logged)
-            outcomes.append((solved, elapsed))
-        return outcomes
-
-    collect = obs.enabled
-    provenance = obs.provenance.recording
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_solve_in_worker, request, kernel, collect, provenance)
+            pool.submit(
+                _solve_in_worker,
+                request,
+                kernel,
+                obs.enabled,
+                obs.provenance.recording,
+            )
             for _, request in pending
         ]
         results = [future.result() for future in futures]

@@ -2,7 +2,6 @@
 
 from .machine import PIMArray, ResidencyError
 from .network import NetworkReport, simulate_schedule_network, simulate_window_traffic
-from .messages import Message, MessageKind
 from .replay import Checkpoint, ReplayCursor, replay_schedule
 from .stats import SimReport
 from .timing import TimingModel, TimingReport, estimate_execution_time
@@ -12,8 +11,6 @@ __all__ = [
     "ResidencyError",
     "Checkpoint",
     "ReplayCursor",
-    "Message",
-    "MessageKind",
     "replay_schedule",
     "SimReport",
     "TimingModel",

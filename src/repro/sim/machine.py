@@ -65,10 +65,6 @@ class PIMArray:
     def n_procs(self) -> int:
         return self.topology.n_procs
 
-    @property
-    def is_loaded(self) -> bool:
-        return self._location is not None
-
     def load_initial(self, placement: np.ndarray) -> None:
         """Install the pre-execution data distribution (cost-free)."""
         placement = np.asarray(placement, dtype=np.int64)

@@ -202,9 +202,6 @@ class SimReport:
             )
         return line
 
-    def as_breakdown(self) -> CostBreakdown:
-        return CostBreakdown(self.reference_cost, self.movement_cost)
-
     def matches(self, analytic: CostBreakdown, tol: float = 1e-9) -> bool:
         """Exact agreement check against the analytic evaluator."""
         return (

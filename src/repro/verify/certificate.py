@@ -161,9 +161,8 @@ def check_certificate(
             )
 
     # -- rebuild the cost tensor independently of the solver ----------------
-    costs = model.all_placement_costs(tensor)[:, from_window:, :].astype(
-        np.float64, copy=True
-    )
+    full_costs = model.all_placement_costs(tensor)  # (D, W, m)
+    costs = full_costs[:, from_window:, :].astype(np.float64, copy=True)
     dist = model.distances.astype(np.float64)
     vols = model.volume_vector(n_data)
     if placement is not None:
@@ -179,7 +178,7 @@ def check_certificate(
         diagnostics,
     )
     if check_theory:
-        _check_theory(schedule, tensor, model, from_window, diagnostics)
+        _check_theory(full_costs, model.topology, from_window, diagnostics)
     return diagnostics
 
 
@@ -295,9 +294,8 @@ def _check_tightness(
         )
 
 
-def _check_theory(schedule, tensor, model, from_window, diagnostics):
+def _check_theory(costs, topology, from_window, diagnostics):
     """VER011: sampled cost rows must satisfy the Lemma 1 preconditions."""
-    costs = model.all_placement_costs(tensor)
     referenced = costs.sum(axis=2) > 0  # (D, W): rows with any cost mass
     checked = 0
     for d, w in zip(*np.nonzero(referenced)):
@@ -306,7 +304,7 @@ def _check_theory(schedule, tensor, model, from_window, diagnostics):
         if checked >= _THEORY_SAMPLE:
             return
         checked += 1
-        if not is_separable_convex(costs[d, w], model.topology):
+        if not is_separable_convex(costs[d, w], topology):
             _emit(
                 diagnostics,
                 Diagnostic(

@@ -12,7 +12,7 @@ from repro.core import CostModel
 from repro.engine import SolveCache
 from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
-from repro.obs import Instrumentation, chrome_trace
+from repro.obs import Instrumentation, chrome_trace, flight_recorder
 from repro.trace import build_reference_tensor
 from repro.workloads import benchmark as make_benchmark
 
@@ -115,6 +115,23 @@ def test_pooled_span_set_matches_inline(workers):
         if s.name == "engine.request"
     ]
     assert solver and all("worker_pid" in s.attrs for s in solver)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_unique_request_records_one_start_and_one_end(workers):
+    requests = _suite()
+    unique = sorted((r.algorithm, r.label) for r in requests)
+    ring = flight_recorder()
+    watermark = ring.next_seq
+    _recorded_run(requests + requests[:1], workers)  # the repeat is deduped
+    events = ring.events_since(watermark)
+    for kind in ("solve.start", "solve.end"):
+        solves = [e for e in events if e["kind"] == kind]
+        assert sorted((e["algorithm"], e["label"]) for e in solves) == unique
+        # pooled events are the workers' own, harvested and attributed
+        assert all(("worker_pid" in e) == (workers > 1) for e in solves)
+    ends = [e for e in events if e["kind"] == "solve.end"]
+    assert all(e["elapsed_us"] > 0 for e in ends)
 
 
 def test_counter_parity_between_inline_and_pooled():
