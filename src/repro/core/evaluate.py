@@ -21,7 +21,13 @@ from ..trace import ReferenceTensor
 from .cost import CostModel
 from .schedule import Schedule
 
-__all__ = ["CostBreakdown", "evaluate_schedule", "per_datum_costs"]
+__all__ = [
+    "CostBreakdown",
+    "evaluate_placement_costs",
+    "evaluate_schedule",
+    "gather_per_datum_costs",
+    "per_datum_costs",
+]
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,22 @@ def per_datum_costs(
     movement cost sums metric distances between consecutive centers.
     """
     _check_compatible(schedule, tensor, model)
-    n_data, n_windows = schedule.n_data, schedule.n_windows
-    if n_data == 0:
+    if schedule.n_data == 0:
         return np.zeros(0), np.zeros(0)
-    cost_tensor = model.all_placement_costs(tensor)  # (D, W, m)
+    return gather_per_datum_costs(
+        schedule, model.all_placement_costs(tensor), model
+    )
+
+
+def gather_per_datum_costs(
+    schedule: Schedule, cost_tensor: np.ndarray, model: CostModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`per_datum_costs` over a prebuilt ``(D, W, m)`` cost tensor.
+
+    For callers that already hold ``model.all_placement_costs(tensor)``
+    for a schedule-compatible tensor; the result is bit-identical.
+    """
+    n_data, n_windows = schedule.n_data, schedule.n_windows
     d_idx = np.arange(n_data)[:, None]
     w_idx = np.arange(n_windows)[None, :]
     ref = cost_tensor[d_idx, w_idx, schedule.centers].sum(axis=1)
@@ -112,5 +130,17 @@ def evaluate_schedule(
     schedule: Schedule, tensor: ReferenceTensor, model: CostModel
 ) -> CostBreakdown:
     """Total communication cost of ``schedule`` on ``tensor``."""
-    ref, move = per_datum_costs(schedule, tensor, model)
+    _check_compatible(schedule, tensor, model)
+    if schedule.n_data == 0:
+        return CostBreakdown(0.0, 0.0)
+    return evaluate_placement_costs(
+        schedule, model.all_placement_costs(tensor), model
+    )
+
+
+def evaluate_placement_costs(
+    schedule: Schedule, cost_tensor: np.ndarray, model: CostModel
+) -> CostBreakdown:
+    """:func:`evaluate_schedule` over a prebuilt ``(D, W, m)`` cost tensor."""
+    ref, move = gather_per_datum_costs(schedule, cost_tensor, model)
     return CostBreakdown(float(ref.sum()), float(move.sum()))

@@ -22,12 +22,14 @@ from __future__ import annotations
 from collections import deque
 
 from .extended_topologies import Mesh3D, WeightedMesh2D
-from .routing import Link, XYRouter
+from .routing import Link, XYRouter, _ravel, _unravel
 from .topology import Mesh1D, Mesh2D, Topology, Torus2D
 
 __all__ = ["FaultAwareRouter", "mesh_links", "structural_neighbors"]
 
 _SUPPORTED = (Mesh1D, Mesh2D, Torus2D, Mesh3D, WeightedMesh2D)
+
+_Route = tuple[list[int], list[Link]]
 
 
 def structural_neighbors(topology: Topology, pid: int) -> list[int]:
@@ -37,10 +39,12 @@ def structural_neighbors(topology: Topology, pid: int) -> list[int]:
     *structure* (coordinates), not the metric, so it stays correct on
     weighted meshes where an adjacent hop may cost more than 1.
     """
-    coords = topology.coords(pid)
+    topology._check_pid(pid)
+    shape = topology.shape
+    coords = _unravel(pid, shape)
     wraps = isinstance(topology, Torus2D)
     out = []
-    for axis, extent in enumerate(topology.shape):
+    for axis, extent in enumerate(shape):
         if extent < 2:
             continue
         for delta in (-1, 1):
@@ -51,7 +55,7 @@ def structural_neighbors(topology: Topology, pid: int) -> list[int]:
                 continue
             neighbor = list(coords)
             neighbor[axis] = c
-            q = topology.pid(*neighbor)
+            q = _ravel(neighbor, shape)
             if q != pid:
                 out.append(q)
     # wrap-around on extent-2 tori makes +1 and -1 coincide
@@ -101,7 +105,7 @@ class FaultAwareRouter:
             topology._check_pid(b)
         self._xy = XYRouter(topology)
         # (src, dst) -> (route, links), or None when unreachable
-        self._memo: dict[tuple[int, int], tuple[list[int], list[Link]] | None] = {}
+        self._memo: dict[tuple[int, int], _Route | None] = {}
 
     # the memo is only valid for one fault set, so the set is read-only
 
@@ -123,14 +127,14 @@ class FaultAwareRouter:
 
     # -- routing ---------------------------------------------------------------
 
-    def _lookup(self, src: int, dst: int) -> tuple[list[int], list[Link]] | None:
-        key = (src, dst)
-        if key not in self._memo:
+    def _lookup(self, src: int, dst: int) -> _Route | None:
+        try:
+            return self._memo[src, dst]
+        except KeyError:
             path = self._compute_route(src, dst)
-            self._memo[key] = (
-                None if path is None else (path, list(zip(path[:-1], path[1:])))
-            )
-        return self._memo[key]
+            hit = None if path is None else (path, list(zip(path[:-1], path[1:])))
+            self._memo[src, dst] = hit
+            return hit
 
     def route(self, src: int, dst: int) -> list[int] | None:
         """Pids visited from ``src`` to ``dst`` on the surviving mesh.

@@ -5,8 +5,10 @@ first travels along the x axis (columns) to the destination column, then
 along the y axis (rows).  The analytic cost model only needs the hop
 *count* (Manhattan distance), but the replay simulator (``repro.sim``)
 routes hop-by-hop to account per-link traffic, so we materialize the
-actual paths here.  A router instance memoizes the link list of every
-pair it has routed; callers treat those lists as read-only.
+actual paths here.  The route of a pair is fixed by the topology, so
+routers on equal topologies share one process-wide memo of link lists
+(bounded to :data:`_ROUTE_TABLES` topologies, least recently used first
+out); callers treat those lists as read-only.
 
 Links are directed and identified as ``(from_pid, to_pid)`` tuples between
 adjacent processors.
@@ -15,6 +17,7 @@ adjacent processors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .extended_topologies import Mesh3D, WeightedMesh2D
 from .topology import Mesh1D, Mesh2D, Topology, Torus2D
@@ -23,6 +26,22 @@ __all__ = ["Link", "XYRouter", "link_key", "parse_link_key"]
 
 Link = tuple[int, int]
 """A directed mesh link ``(from_pid, to_pid)`` between adjacent processors."""
+
+#: topologies whose x-y link memos stay live process-wide.  A constant,
+#: not a knob: a certify, replay, fault sweep or chaos campaign routes on
+#: one topology, and a fully routed 16x16 table (65,536 routes) holds
+#: about 54 MiB.
+_ROUTE_TABLES = 2
+
+
+@lru_cache(maxsize=_ROUTE_TABLES)
+def _route_table(topology: Topology) -> dict[tuple[int, int], list[Link]]:
+    """The shared ``(src, dst) -> links`` memo of one topology.
+
+    Topologies are frozen dataclasses, so equality already tells
+    ``Mesh2D(4, 4)``, ``Torus2D(4, 4)`` and ``WeightedMesh2D(4, 4)`` apart.
+    """
+    return {}
 
 
 def _unravel(pid: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -99,7 +118,7 @@ class XYRouter:
 
     topology: Topology
     _links: dict[tuple[int, int], list[Link]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -109,6 +128,7 @@ class XYRouter:
             raise TypeError(
                 f"XYRouter supports mesh/torus topologies, got {self.topology!r}"
             )
+        object.__setattr__(self, "_links", _route_table(self.topology))
 
     @property
     def _wraps(self) -> bool:
@@ -122,23 +142,26 @@ class XYRouter:
         topo = self.topology
         topo._check_pid(src)
         topo._check_pid(dst)
+        shape = topo.shape
+        wraps = self._wraps
         path = [src]
-        coords = list(topo.coords(src))
-        target = topo.coords(dst)
+        coords = list(_unravel(src, shape))
+        target = _unravel(dst, shape)
         # x axis (the last coordinate: column) first, then y (row).
         for axis in reversed(range(len(coords))):
-            extent = topo.shape[axis]
+            extent = shape[axis]
             while coords[axis] != target[axis]:
                 coords[axis] = _step_toward(
-                    coords[axis], target[axis], extent, self._wraps
+                    coords[axis], target[axis], extent, wraps
                 )
-                path.append(topo.pid(*coords))
+                path.append(_ravel(coords, shape))
         return path
 
     def links(self, src: int, dst: int) -> list[Link]:
         """Directed links traversed from ``src`` to ``dst`` (may be empty).
 
-        Memoized per pair: the returned list is shared, so do not mutate it.
+        Memoized per pair and shared by every router on an equal
+        topology: the returned list is shared, so do not mutate it.
         """
         links = self._links.get((src, dst))
         if links is None:

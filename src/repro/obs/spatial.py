@@ -380,7 +380,9 @@ def analyze_spatial(
     gini = trace.gini()
     diagnostics: list[Diagnostic] = []
     if mean > 0:
-        for link, volume in sorted(totals.items(), key=lambda kv: -kv[1]):
+        for link, volume in sorted(
+            totals.items(), key=lambda kv: (-kv[1], kv[0])
+        ):
             if volume >= hotspot_factor * mean:
                 diagnostics.append(
                     Diagnostic(

@@ -112,16 +112,19 @@ class StaticPrediction:
 
 def _live_ranges(centers: np.ndarray) -> list[list[tuple[int, int, int]]]:
     """Run-length encode each datum's center row into residency intervals."""
-    ranges: list[list[tuple[int, int, int]]] = []
-    for row in centers:
-        segments: list[tuple[int, int, int]] = []
-        start = 0
-        for w in range(1, len(row)):
-            if row[w] != row[w - 1]:
-                segments.append((int(row[start]), start, w - 1))
-                start = w
-        segments.append((int(row[start]), start, len(row) - 1))
-        ranges.append(segments)
+    n_data, n_windows = centers.shape
+    starts = np.ones(centers.shape, dtype=bool)
+    starts[:, 1:] = centers[:, 1:] != centers[:, :-1]
+    data, first = np.nonzero(starts)  # datum-major, windows ascending
+    last = np.full(len(first), n_windows - 1)
+    same_datum = data[1:] == data[:-1]
+    last[:-1][same_datum] = first[1:][same_datum] - 1
+    ranges: list[list[tuple[int, int, int]]] = [[] for _ in range(n_data)]
+    for d, p, a, b in zip(
+        data.tolist(), centers[data, first].tolist(), first.tolist(),
+        last.tolist(),
+    ):
+        ranges[d].append((p, a, b))
     return ranges
 
 
@@ -222,28 +225,18 @@ def _interpret_fault_free(
     per_window = ref_dw.sum(axis=0)
     reference_cost = float(per_window.sum())
 
-    movement_cost = 0.0
-    n_moves = 0
-    window_links: list[dict[Link, float]] = [{} for _ in range(n_windows)]
-    router = XYRouter(model.topology)
-
-    # fetch traffic, link by link (exact under deterministic x-y routing)
-    for d, w, p in zip(*np.nonzero(counts)):
-        c = int(centers[d, w])
-        if c == int(p):
-            continue
-        links = router.links(c, int(p))
-        _add_links(window_links[w], links, float(counts[d, w, p]) * vols[d])
-
-    # movement traffic and cost, charged to the window moved *into*
+    # movement cost, charged to the window moved *into*
     per_window = per_window.copy()
-    for d, w, src, dst in schedule.movements():
-        volume = float(vols[d])
-        cost = float(dist[src, dst]) * volume
+    movement_cost = 0.0
+    moves = schedule.movements()
+    for d, w, src, dst in moves:
+        cost = float(dist[src, dst]) * float(vols[d])
         movement_cost += cost
         per_window[w] += cost
-        n_moves += 1
-        _add_links(window_links[w], router.links(src, dst), volume)
+
+    window_links = _fault_free_links(
+        model.topology, centers, counts, vols, moves
+    )
 
     _check_dead_movements(schedule, tensor, model, diagnostics)
 
@@ -265,9 +258,78 @@ def _interpret_fault_free(
         n_fetches=n_fetches,
         n_local_fetches=n_local,
         n_delivered=n_fetches,
-        n_moves=n_moves,
+        n_moves=len(moves),
         faulted=False,
     )
+
+
+def _fault_free_links(topology, centers, counts, vols, moves):
+    """Per-window link volumes of every fetch and move on a healthy array.
+
+    Fetches are charged to their own window, moves to the window moved
+    into.  Integer volumes are summed in numpy: transfers are grouped by
+    ``(window, src, dst)``, each distinct pair's x-y route is expanded
+    from CSR arrays of link ids, and the link ids are binned onto
+    ``(window, link)``.  Integer sums below 2**53 are exact in any order,
+    so the result equals the per-transfer sum bit for bit; any other
+    volume takes the per-transfer loop, whose order the replay shares.
+    """
+    n_windows = centers.shape[1]
+    d, w, p = np.nonzero(counts)
+    c = centers[d, w]
+    remote = c != p
+    d, w, p, c = d[remote], w[remote], p[remote], c[remote]
+    move = np.asarray(moves, dtype=np.int64).reshape(-1, 4)
+    win = np.concatenate([w, move[:, 1]])
+    src = np.concatenate([c, move[:, 2]])
+    dst = np.concatenate([p, move[:, 3]])
+    vol = np.concatenate(
+        [counts[d, w, p].astype(np.float64) * vols[d], vols[move[:, 0]]]
+    )
+
+    router = XYRouter(topology)
+    window_links: list[dict[Link, float]] = [{} for _ in range(n_windows)]
+    if not len(vol):
+        return window_links
+    if not (np.all(np.floor(vol) == vol) and np.abs(vol).sum() < 2.0**53):
+        for t, a, b, v in zip(
+            win.tolist(), src.tolist(), dst.tolist(), vol.tolist()
+        ):
+            _add_links(window_links[t], router.links(a, b), v)
+        return window_links
+
+    m = topology.n_procs
+    groups, group_of = np.unique((win * m + src) * m + dst, return_inverse=True)
+    group_vol = np.bincount(group_of, weights=vol, minlength=len(groups))
+    pairs, pair_of = np.unique(groups % (m * m), return_inverse=True)
+    links = mesh_links(topology)
+    link_id = {link: i for i, link in enumerate(links)}
+    routes = [
+        [link_id[link] for link in router.links(pair // m, pair % m)]
+        for pair in pairs.tolist()
+    ]
+    lengths = np.fromiter(map(len, routes), dtype=np.int64, count=len(routes))
+    route_links = np.fromiter(
+        (i for route in routes for i in route), dtype=np.int64,
+        count=int(lengths.sum()),
+    )
+    starts = np.cumsum(lengths) - lengths
+
+    reps = lengths[pair_of]  # hops of each group's route
+    first = np.cumsum(reps) - reps
+    hop = np.arange(int(reps.sum())) - np.repeat(first, reps)
+    link = route_links[np.repeat(starts[pair_of], reps) + hop]
+    cell = np.repeat(groups // (m * m), reps) * len(links) + link
+    n_cells = n_windows * len(links)
+    volume = np.bincount(cell, weights=np.repeat(group_vol, reps),
+                         minlength=n_cells)
+    touched = np.flatnonzero(volume)  # volumes are positive
+    for t, i, v in zip(
+        *(x.tolist() for x in np.divmod(touched, len(links))),
+        volume[touched].tolist(),
+    ):
+        window_links[t][links[i]] = v
+    return window_links
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +608,8 @@ def _check_hotspots(
     if budget is None:
         n_wires = max(1, len(mesh_links(topology)))
         budget = hotspot_factor * (sum(totals.values()) / n_wires)
-    for link, volume in sorted(
-        totals.items(), key=lambda kv: -kv[1]
-    ):
+    # ties break by link, so the order (and the capped set) is stable
+    for link, volume in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])):
         if volume <= budget:
             break
         _emit(

@@ -31,6 +31,8 @@ the SCDS/LOMCDS heuristics) assume — worth a warning.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..core import CostModel
@@ -84,6 +86,27 @@ def check_certificate(
     theory cross-check warnings.  An empty list means every datum's
     center path is proven optimal.
     """
+    return _check_certificate(
+        schedule,
+        lambda: model.all_placement_costs(tensor),
+        model,
+        faults,
+        require=require,
+        check_theory=check_theory,
+    )
+
+
+def _check_certificate(
+    schedule,
+    placement_costs: Callable[[], np.ndarray],
+    model: CostModel,
+    faults: FaultPlan | None,
+    *,
+    require: bool,
+    check_theory: bool,
+) -> list[Diagnostic]:
+    """:func:`check_certificate` with the ``(D, W, m)`` cost tensor behind
+    ``placement_costs()``, called only when a certificate needs it."""
     cert = certificate_of(schedule)
     if cert is None:
         raw = schedule.meta.get("certificate") if schedule.meta else None
@@ -161,7 +184,7 @@ def check_certificate(
             )
 
     # -- rebuild the cost tensor independently of the solver ----------------
-    full_costs = model.all_placement_costs(tensor)  # (D, W, m)
+    full_costs = placement_costs()  # (D, W, m)
     costs = full_costs[:, from_window:, :].astype(np.float64, copy=True)
     dist = model.distances.astype(np.float64)
     vols = model.volume_vector(n_data)

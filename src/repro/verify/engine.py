@@ -23,6 +23,7 @@ Exit-code contract (one step stricter than lint's 0/1/2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from ..diagnostics import (
     DIVERGENCE_CODES,
@@ -38,8 +39,8 @@ from ..schema import SCHEMA_VERSION, check_schema
 from ..trace import ReferenceTensor, Trace, build_reference_tensor
 from ..workloads import PaperInstance
 from .abstract import interpret_schedule
-from .certificate import certificate_of, check_certificate
-from .differential import run_differential
+from .certificate import _check_certificate, certificate_of
+from .differential import _run_differential
 
 __all__ = [
     "CertifyReport",
@@ -177,6 +178,10 @@ def certify_schedule(
     if tensor is None:
         tensor = build_reference_tensor(trace, windows)
 
+    # the certificate check and the analytic evaluator share one
+    # (D, W, m) cost tensor, built on first use
+    placement_costs = cache(partial(model.all_placement_costs, tensor))
+
     report = CertifyReport(
         label=label or f"{schedule.method} ({schedule.n_data} data, "
         f"{schedule.n_windows} windows)"
@@ -205,11 +210,11 @@ def certify_schedule(
             report.facts["static"] = prediction.to_dict()
 
         with obs.span("verify.certificates"):
-            cert_diags = check_certificate(
+            cert_diags = _check_certificate(
                 schedule,
-                tensor,
+                placement_costs,
                 model,
-                faults=faults,
+                faults,
                 require=require_certificate,
                 check_theory=check_theory,
             )
@@ -236,9 +241,9 @@ def certify_schedule(
 
         if differential and prediction is not None:
             with obs.span("verify.differential"):
-                diff_diags, facts = run_differential(
-                    schedule, trace, tensor, model, prediction,
-                    capacity=capacity, faults=faults, retry=retry,
+                diff_diags, facts = _run_differential(
+                    schedule, trace, placement_costs, model, prediction,
+                    capacity, faults, retry,
                 )
             report.checks.append("differential")
             report.diagnostics.extend(diff_diags)

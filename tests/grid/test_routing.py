@@ -124,20 +124,66 @@ MEMO_TOPOLOGIES = {
 
 @pytest.mark.parametrize("name", sorted(MEMO_TOPOLOGIES))
 def test_memoized_links_equal_a_fresh_router(name):
+    # route() never reads the memo, so it is the unmemoized oracle
     topo = MEMO_TOPOLOGIES[name]()
     memo = XYRouter(topo)
     pairs = [(s, d) for s in topo.iter_pids() for d in topo.iter_pids()]
     for _ in range(2):  # first call fills the memo, the second reads it
         for src, dst in pairs:
-            fresh = XYRouter(topo)
-            assert memo.links(src, dst) == fresh.links(src, dst)
-            assert memo.route(src, dst) == fresh.route(src, dst)
-            assert memo.hop_count(src, dst) == fresh.hop_count(src, dst)
+            path = XYRouter(topo).route(src, dst)
+            assert memo.links(src, dst) == list(zip(path[:-1], path[1:]))
+            assert memo.route(src, dst) == path
+            assert memo.hop_count(src, dst) == len(path) - 1
 
 
 def test_links_are_memoized_per_pair(router):
     assert router.links(0, 15) is router.links(0, 15)
-    assert XYRouter(router.topology).links(0, 15) is not router.links(0, 15)
+
+
+def test_equal_topologies_share_one_memo():
+    a, b = XYRouter(Mesh2D(3, 5)), XYRouter(Mesh2D(3, 5))
+    assert a.links(0, 14) is b.links(0, 14)
+
+
+def test_distinct_topology_types_of_one_shape_do_not_share():
+    routers = [
+        XYRouter(Mesh2D(4, 4)),
+        XYRouter(Torus2D(4, 4)),
+        XYRouter(WeightedMesh2D(4, 4)),
+    ]
+    links = [r.links(0, 3) for r in routers]
+    assert links[0] == links[2] == [(0, 1), (1, 2), (2, 3)]
+    assert links[1] == [(0, 3)]  # the torus wraps around
+    assert links[0] is not links[2]
+
+
+def test_fault_epochs_share_routes_only_when_equal():
+    from repro.faults import FaultInjector, FaultPlan, LinkFault, NodeFault
+
+    mesh = Mesh2D(4, 4)
+
+    def links(*dead_links):
+        plan = FaultPlan(
+            node_faults=(NodeFault(pid=5, start=0),),
+            link_faults=tuple(LinkFault(a, b, start=0) for a, b in dead_links),
+        )
+        return FaultInjector(plan, mesh, n_windows=1).router(0).links(0, 3)
+
+    assert links((1, 2)) is links((1, 2))
+    # one more dead link is another epoch, with routes of its own
+    assert links((1, 2), (2, 3)) is not links((1, 2))
+    assert (2, 3) not in links((1, 2), (2, 3))
+
+
+def test_epoch_router_cache_stays_at_its_bound():
+    from repro.faults import FaultInjector, FaultPlan, NodeFault
+    from repro.faults.injector import _EPOCH_ROUTERS, _epoch_router
+
+    mesh = Mesh1D(_EPOCH_ROUTERS + 10)
+    for pid in range(mesh.n_procs):  # one distinct epoch per dead node
+        plan = FaultPlan(node_faults=(NodeFault(pid=pid, start=0),))
+        FaultInjector(plan, mesh, n_windows=1).router(0)
+    assert _epoch_router.cache_info().currsize == _EPOCH_ROUTERS
 
 
 def test_memo_does_not_change_router_equality(router):

@@ -84,14 +84,18 @@ class TestLinkTracking:
         assert report.max_link_load <= report.total_link_traffic
 
     def test_each_path_is_built_once_per_router(self, mesh44, monkeypatch):
-        # the router memoizes its links, so a link-tracked replay builds
-        # every (router, pair) x-y path at most once however often the
-        # schedule sends traffic between the same two processors
+        # routers on equal topologies share one links memo, so a
+        # link-tracked replay builds every pair's x-y path at most once
+        # however often the schedule sends traffic between the same two
+        # processors; earlier tests filled the memo, so start from empty
+        from repro.grid.routing import _route_table
+
+        _route_table.cache_clear()
         built = Counter()
         build = XYRouter.route
 
         def counting_route(router, src, dst):
-            built[id(router), src, dst] += 1
+            built[src, dst] += 1
             return build(router, src, dst)
 
         monkeypatch.setattr(XYRouter, "route", counting_route)

@@ -5,10 +5,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CostModel, evaluate_schedule, gomcds
 from repro.diagnostics import VER001, VER002, VER003, VER004, Severity
 from repro.faults import FaultPlan, NodeFault
+from repro.grid import (
+    Mesh1D,
+    Mesh2D,
+    Mesh3D,
+    Torus2D,
+    WeightedMesh2D,
+    XYRouter,
+)
 from repro.mem import CapacityPlan
 from repro.obs import Instrumentation
 from repro.sim import replay_schedule
@@ -145,3 +155,126 @@ def test_faulted_prediction_matches_replay(bench1, mesh44):
     assert prediction.total == pytest.approx(report.total_cost)
     assert prediction.n_delivered == report.n_delivered
     assert prediction.n_evacuated == report.n_evacuated
+
+
+# -- numpy link accounting --------------------------------------------------
+
+LINK_TOPOLOGIES = [
+    Mesh1D(5),
+    Mesh2D(3, 3),
+    Torus2D(3, 4),
+    Mesh3D(2, 2, 2),
+    WeightedMesh2D(2, 3, row_weight=3, col_weight=1),
+]
+
+
+def _per_transfer_links(schedule, tensor, model):
+    """The per-transfer oracle: route and add every fetch and move."""
+    centers, counts = schedule.centers, tensor.counts
+    vols = model.volume_vector(schedule.n_data)
+    router = XYRouter(model.topology)
+    window_links = [{} for _ in range(schedule.n_windows)]
+
+    def add(w, links, volume):
+        for link in links:
+            window_links[w][link] = window_links[w].get(link, 0.0) + volume
+
+    for d, w, p in zip(*np.nonzero(counts)):
+        if int(centers[d, w]) != int(p):
+            add(w, router.links(int(centers[d, w]), int(p)),
+                float(counts[d, w, p]) * vols[d])
+    for d, w, src, dst in schedule.movements():
+        add(w, router.links(src, dst), float(vols[d]))
+    return window_links
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_numpy_window_links_equal_the_per_transfer_oracle(data):
+    from repro.core import Schedule
+    from repro.trace import build_reference_tensor
+    from repro.workloads import trace_from_counts
+
+    topo = data.draw(st.sampled_from(LINK_TOPOLOGIES))
+    n_data = data.draw(st.integers(1, 4))
+    n_windows = data.draw(st.integers(1, 4))
+    m = topo.n_procs
+    counts = np.array(
+        data.draw(
+            st.lists(st.integers(0, 3), min_size=n_data * n_windows * m,
+                     max_size=n_data * n_windows * m)
+        ),
+        dtype=np.int64,
+    ).reshape(n_data, n_windows, m)
+    trace, windows = trace_from_counts(counts, topo)
+    tensor = build_reference_tensor(trace, windows)
+    centers = np.array(
+        data.draw(
+            st.lists(st.integers(0, m - 1), min_size=n_data * n_windows,
+                     max_size=n_data * n_windows)
+        )
+    ).reshape(n_data, n_windows)
+    schedule = Schedule(centers=centers, windows=windows, method="drawn")
+    # integer volumes take the numpy path, fractional ones the fallback
+    volumes = data.draw(
+        st.none()
+        | st.lists(st.integers(1, 5), min_size=n_data, max_size=n_data)
+        | st.lists(st.sampled_from([0.1, 0.25, 1.5, 3.0]),
+                   min_size=n_data, max_size=n_data)
+    )
+    model = CostModel(topo, None if volumes is None else np.array(volumes))
+
+    prediction, _ = interpret_schedule(schedule, tensor, model, trace=trace)
+    assert prediction.window_links == _per_transfer_links(
+        schedule, tensor, model
+    )
+
+
+@pytest.mark.parametrize("volume", [1.0, 1.5])
+def test_hotspot_ties_at_the_cap_break_by_link(mesh44, volume):
+    """30 links tie above the budget; VER003 keeps the 25 smallest links.
+
+    A fractional volume takes the per-transfer path, whose link order
+    follows the transfers, so only the sort key puts the links in order.
+    """
+    from repro.core import Schedule
+    from repro.grid import link_key, mesh_links
+    from repro.trace import build_reference_tensor
+    from repro.verify.abstract import MAX_DIAGNOSTICS_PER_CHECK
+    from repro.workloads import trace_from_counts
+
+    # one datum per link, listed largest link first so that neither the
+    # datum order nor the transfer order matches the link order
+    links = sorted(mesh_links(mesh44))[:30][::-1]
+    counts = np.zeros((len(links), 1, mesh44.n_procs), dtype=np.int64)
+    for d, (_, dst) in enumerate(links):
+        counts[d, 0, dst] = 1
+    trace, windows = trace_from_counts(counts, mesh44)
+    tensor = build_reference_tensor(trace, windows)
+    centers = np.array([[src] for src, _ in links])
+    schedule = Schedule(centers=centers, windows=windows, method="handmade")
+    model = CostModel(mesh44, np.full(len(links), volume))
+    _, diags = interpret_schedule(
+        schedule, tensor, model, trace=trace, link_budget=0.5
+    )
+    hot = [d for d in diags if d.code == VER003]
+    assert len(hot) == MAX_DIAGNOSTICS_PER_CHECK
+    expected = sorted(links)[:MAX_DIAGNOSTICS_PER_CHECK]
+    assert [d.message.split()[1] for d in hot] == [
+        link_key(link, mesh44.shape) for link in expected
+    ]
+
+
+def test_obs001_ties_break_by_link(mesh44):
+    from repro.grid import link_key, mesh_links
+    from repro.obs import SpatialRecorder, analyze_spatial
+
+    recorder = SpatialRecorder(mesh44, 1, label="ties")
+    hot = sorted(mesh_links(mesh44))[::-1][:6]  # recorded largest first
+    for link in hot:
+        recorder.record(0, [link], 1.0)
+    report = analyze_spatial(recorder.finish(), hotspot_factor=1.0)
+    saturated = [d for d in report.diagnostics if d.code == "OBS001"]
+    assert [d.message.split()[2].rstrip(":") for d in saturated] == [
+        link_key(link, mesh44.shape) for link in sorted(hot)
+    ]

@@ -87,3 +87,41 @@ def test_wrong_accounting_is_ver010(mesh44):
         schedule, wl.trace, tensor, model, lying, capacity=capacity
     )
     assert any(d.code == VER010 for d in diags)
+
+
+def _count_cost_tensors(monkeypatch):
+    calls = []
+    build = CostModel.all_placement_costs
+
+    def counted(model, tensor):
+        calls.append(tensor)
+        return build(model, tensor)
+
+    monkeypatch.setattr(CostModel, "all_placement_costs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_certify_builds_one_cost_tensor(mesh44, monkeypatch, faulted):
+    from repro.verify import certify_schedule
+
+    wl = benchmark(1, 8, mesh44)
+    tensor = wl.reference_tensor()
+    model = CostModel(mesh44)
+    capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
+    faults = FaultPlan(node_faults=(NodeFault(pid=5, start=2),))
+    if faulted:
+        schedule = reschedule_around_faults(
+            tensor, model, faults, capacity, certify=True
+        )
+    else:
+        schedule = gomcds(tensor, model, capacity, certify=True)
+    calls = _count_cost_tensors(monkeypatch)
+    report = certify_schedule(
+        schedule, wl.trace, model, tensor=tensor, capacity=capacity,
+        faults=faults if faulted else None,
+    )
+    assert not report.diverged
+    assert report.certified_data == schedule.n_data
+    # the certificate check and the analytic evaluator share one tensor
+    assert len(calls) == 1
