@@ -85,7 +85,7 @@ def run(
         requests = _batch_requests(mesh, size, benchmarks, seed)
         tele, session = overhead_probe(
             lambda instrument: schedule_many(
-                requests, workers=2, kernel="numpy", instrument=instrument
+                requests, workers=2, instrument=instrument
             ),
             repeats,
         )

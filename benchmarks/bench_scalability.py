@@ -6,19 +6,27 @@ vectorized across data when unconstrained — so the array-size axis is
 its steepest; SCDS is one matmul + argmin and should stay near-flat.
 
 The batch benches time the engine itself: one ``schedule_many`` fan-out
-of the GOMCDS suite (vectorized numpy kernels, shared solve cache)
-against the sequential scalar-kernel baseline — the two produce
-bit-identical schedules, so the ratio is pure engine speedup.
+of the GOMCDS suite (vectorized solvers, shared solve cache) against a
+sequential baseline composed from the scalar test references
+(:mod:`repro.core.kernels`) — the two produce bit-identical centers
+(checked), so the ratio is pure engine speedup.
 
 Run as a script to gate that speedup in CI::
 
     python benchmarks/bench_scalability.py --size 8 --min-speedup 3
 """
 
+import numpy as np
 import pytest
 
 from repro import ScheduleRequest, schedule, schedule_many
 from repro.core import grouped_schedule
+from repro.core.gomcds import _walk_paths
+from repro.core.kernels import (
+    placement_cost_tensor_python,
+    shortest_center_path_python,
+)
+from repro.mem import OccupancyTracker
 from repro.trace import build_reference_tensor, windows_by_step_count
 from repro.workloads import paper_instance
 
@@ -75,26 +83,40 @@ def bench_grouping_scaling(benchmark):
     benchmark(grouped_schedule, tensor, model)
 
 
+def _scalar_gomcds(request):
+    """Constrained GOMCDS centers from the scalar references: the cost
+    tensor, then the sequential path walk under the solver's tracker and
+    priority order."""
+    tensor, model = request.tensor, request.model
+    centers, _, _ = _walk_paths(
+        shortest_center_path_python,
+        placement_cost_tensor_python(tensor, model),
+        model.distances.astype(np.float64),
+        model.volume_vector(tensor.n_data),
+        tensor.data_priority_order(),
+        tracker=OccupancyTracker(request.capacity, n_windows=tensor.n_windows),
+    )
+    return centers
+
+
+def _same_centers(scalar, batched):
+    return all(
+        np.array_equal(centers, sched.centers)
+        for centers, sched in zip(scalar, batched)
+    )
+
+
 def bench_batch_gomcds_suite(benchmark):
-    """The batched numpy GOMCDS suite (the engine's fast path)."""
+    """The batched GOMCDS suite (the engine's fast path)."""
     requests = _suite_requests(n=8)
-    benchmark(schedule_many, requests, workers=1, kernel="numpy")
+    benchmark(schedule_many, requests, workers=1)
 
 
 def bench_sequential_scalar_suite(benchmark):
-    """The same suite, sequential scalar kernels (the reference path)."""
+    """The same suite on the scalar references, one request at a time."""
     requests = _suite_requests(n=8)
-
-    def run():
-        return [
-            schedule(
-                r.tensor, r.model, algorithm="gomcds", capacity=r.capacity,
-                kernel="python",
-            )
-            for r in requests
-        ]
-
-    benchmark(run)
+    scalar = benchmark(lambda: [_scalar_gomcds(r) for r in requests])
+    assert _same_centers(scalar, schedule_many(requests))
 
 
 def main(argv=None):
@@ -133,23 +155,20 @@ def main(argv=None):
         return median(times)
 
     def sequential():
-        return [
-            schedule(
-                r.tensor, r.model, algorithm="gomcds", capacity=r.capacity,
-                kernel="python",
-            )
-            for r in requests
-        ]
+        return [_scalar_gomcds(r) for r in requests]
 
     def batched():
-        return schedule_many(requests, workers=1, kernel="numpy")
+        return schedule_many(requests, workers=1)
 
+    if not _same_centers(sequential(), batched()):
+        print("FAIL: batched centers differ from the scalar references")
+        return 1
     seq_s = timed(sequential)
     batch_s = timed(batched)
     speedup = seq_s / batch_s if batch_s > 0 else float("inf")
     print(
         f"batched GOMCDS suite ({len(requests)} requests, size "
-        f"{args.size}): sequential scalar {seq_s:.4f}s, batched numpy "
+        f"{args.size}): sequential scalar {seq_s:.4f}s, batched "
         f"{batch_s:.4f}s, speedup {speedup:.1f}x "
         f"(gate: {args.min_speedup:g}x)"
     )

@@ -53,7 +53,6 @@ class ExplainResult:
 
     workload: str
     scheduler: str
-    kernel: str
     log: object  #: the DecisionLog
     schedule: object
     breakdown: object  #: evaluate_schedule() ground truth
@@ -74,7 +73,6 @@ class ExplainResult:
 def explain_solve(
     instance: PaperInstance,
     scheduler: str = "GOMCDS",
-    kernel: str = "numpy",
     fail_node: int | None = None,
     fail_window: int = 0,
 ):
@@ -108,9 +106,7 @@ def explain_solve(
             )
 
     def solve(instrument):
-        return instance.solve(
-            scheduler, faults=plan, kernel=kernel, instrument=instrument
-        )
+        return instance.solve(scheduler, faults=plan, instrument=instrument)
 
     return solve, label, method
 
@@ -118,7 +114,6 @@ def explain_solve(
 def explain_workload(
     instance: PaperInstance,
     scheduler: str = "GOMCDS",
-    kernel: str = "numpy",
     fail_node: int | None = None,
     fail_window: int = 0,
     check: bool = True,
@@ -130,7 +125,7 @@ def explain_workload(
     "B" inputs for ``repro explain --diff``.
     """
     solve, label, method = explain_solve(
-        instance, scheduler, kernel, fail_node, fail_window
+        instance, scheduler, fail_node, fail_window
     )
     instr = Instrumentation.started(provenance=True)
     solved = solve(instr)
@@ -151,7 +146,6 @@ def explain_workload(
     return ExplainResult(
         workload=label,
         scheduler=method,
-        kernel=log.kernel,
         log=log,
         schedule=solved,
         breakdown=breakdown,

@@ -7,8 +7,7 @@ module collapses those call shapes into one facade::
     from repro import schedule
     sched = schedule(tensor, model)                      # GOMCDS
     sched = schedule(tensor, model, algorithm="scds")
-    sched = schedule(tensor, model, capacity=cap,
-                     certify=True, kernel="numpy")
+    sched = schedule(tensor, model, capacity=cap, certify=True)
 
 Algorithm selection goes through the frozen
 :class:`~repro.core.SchedulerSpec` registry, so ``schedule`` accepts
@@ -41,7 +40,6 @@ def schedule(
     algorithm: str | SchedulerSpec = "gomcds",
     capacity: CapacityPlan | None = None,
     certify: bool = False,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
     **kwargs,
 ) -> Schedule:
@@ -64,10 +62,6 @@ def schedule(
         Attach an optimality certificate to the schedule.  Only
         algorithms that can prove their result support this (GOMCDS);
         requesting it elsewhere raises ``TypeError``.
-    kernel:
-        Solver kernel: ``"numpy"`` (vectorized, default) or
-        ``"python"`` (scalar reference oracle).  Bit-identical results;
-        see :mod:`repro.core.kernels`.
     instrument:
         Optional :class:`~repro.obs.Instrumentation` recording phase
         spans and metrics; ``None`` uses the active (usually no-op)
@@ -87,8 +81,6 @@ def schedule(
     )
     if certify:
         kwargs["certify"] = True
-    if kernel is not None:
-        kwargs["kernel"] = kernel
     unsupported = sorted(set(kwargs) - set(spec.supported_kwargs))
     if unsupported:
         supported = (

@@ -279,11 +279,6 @@ def _add_batch_parser(add_parser) -> None:
         help="worker processes for the fan-out (1 = in-process)",
     )
     parser.add_argument(
-        "--kernel", choices=("numpy", "python"), default=None,
-        help="DP kernel for schedulers that support one "
-        "(default: the vectorized numpy kernels)",
-    )
-    parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="persist solved schedules to this directory; later runs "
         "with identical inputs hit the disk cache",
@@ -337,8 +332,7 @@ def _run_batch(args) -> int:
     instr = active() if active().enabled else Instrumentation.started()
     t0 = perf_counter()
     schedules = schedule_many(
-        requests, workers=args.workers, cache=cache, kernel=args.kernel,
-        instrument=instr,
+        requests, workers=args.workers, cache=cache, instrument=instr,
     )
     elapsed = perf_counter() - t0
     rows = [
@@ -375,7 +369,6 @@ def _run_batch(args) -> int:
                     "kind": "batch_report",
                     "n_requests": len(requests),
                     "workers": args.workers,
-                    "kernel": args.kernel or "numpy",
                     "elapsed_s": elapsed,
                     "rows": rows,
                     "cache": stats,
@@ -389,7 +382,7 @@ def _run_batch(args) -> int:
         print(_render_rows(rows))
         print(
             f"{len(requests)} request(s) in {elapsed:.3f}s "
-            f"(workers={args.workers}, kernel={args.kernel or 'numpy'})"
+            f"(workers={args.workers})"
         )
         print(
             f"cache: {hits:g} hit(s), {misses:g} miss(es), "
@@ -950,10 +943,6 @@ def _add_explain_parser(add_parser) -> None:
     )
     parser.set_defaults(run=_run_explain, size=16)
     parser.add_argument(
-        "--kernel", choices=("numpy", "python"), default="numpy",
-        help="solver kernel; the python oracle doubles as a provenance oracle",
-    )
-    parser.add_argument(
         "--fail-node", type=int, default=None, metavar="PID",
         help="explain the fault-aware reschedule with this processor down",
     )
@@ -1033,8 +1022,7 @@ def _run_explain(args) -> int:
         return EXIT_OK
 
     solve_args = (
-        _instance(args), args.scheduler, args.kernel, args.fail_node,
-        args.fail_window,
+        _instance(args), args.scheduler, args.fail_node, args.fail_window,
     )
     if args.max_overhead_pct is not None:
         solve, label, method = explain_solve(*solve_args)

@@ -38,7 +38,6 @@ from .replication import (
     replicated_scds,
 )
 from .registry import SCHEDULER_SPECS, SchedulerSpec, scheduler_spec
-from .kernels import KERNELS, resolve_kernel
 from .scds import scds
 from .schedule import Schedule
 
@@ -73,6 +72,4 @@ __all__ = [
     "scheduler_spec",
     "SchedulerSpec",
     "SCHEDULER_SPECS",
-    "KERNELS",
-    "resolve_kernel",
 ]

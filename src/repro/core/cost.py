@@ -33,7 +33,7 @@ class CostModel:
     topology:
         Processor array defining the hop metric.
     volumes:
-        Optional ``(n_data,)`` positive transfer volumes; the paper's
+        Optional ``(n_data,)`` positive, finite transfer volumes; the paper's
         model ("each data transfer takes one time unit") is the default
         all-ones vector, represented as ``None``.
     """
@@ -44,8 +44,16 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.volumes is not None:
             vols = np.asarray(self.volumes, dtype=np.float64)
-            if vols.ndim != 1 or len(vols) == 0 or vols.min() <= 0:
+            if vols.ndim != 1 or len(vols) == 0:
                 raise ValueError("volumes must be a 1-D positive vector")
+            # NaN fails every comparison, so test for finite and positive
+            bad = ~(np.isfinite(vols) & (vols > 0))
+            if bad.any():
+                d = int(bad.argmax())
+                raise ValueError(
+                    f"volumes must be positive and finite; datum {d} has "
+                    f"{float(vols[d])}"
+                )
             object.__setattr__(self, "volumes", vols)
 
     @property

@@ -19,7 +19,7 @@ metric, a distance transform in O(D m) per window
 their paths one at a time in priority order, but the paths are solved
 speculatively in batches and re-solved only where a claim invalidated
 them (:func:`_batched_walk`).  Two independent references hold this DP
-to account: the scalar kernel
+to account: the scalar test reference
 (:func:`repro.core.kernels.shortest_center_path_python`) and the
 certificate checker (:mod:`repro.verify.certificate`).
 
@@ -32,8 +32,6 @@ also prices its first edge from the rollback residency, so
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from ..grid import Mesh1D, Mesh2D
@@ -41,11 +39,6 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .kernels import (
-    placement_cost_tensor,
-    resolve_kernel,
-    shortest_center_path_python,
-)
 from .schedule import Schedule
 
 __all__ = ["gomcds", "shortest_center_path"]
@@ -168,7 +161,7 @@ def _sweep_block(
     The forward sweep keeps only the ``f`` tables; the traceback then
     rebuilds each back-pointer as ``argmin_j f_{w-1}[j] + vol * Dist[j, k]``
     for the chosen ``k``, over one ``(k, m)`` slice.  That is the dense
-    step's add and the scalar kernel's lowest-index tie-break
+    step's add and the scalar reference's lowest-index tie-break
     (:func:`~repro.core.kernels.shortest_center_path_python`), so each row
     is bit-identical to a per-datum solve under the same mask.
 
@@ -238,13 +231,14 @@ def _l1_grid(tensor: ReferenceTensor, model: CostModel, vols, n_windows):
 
     The topology must be a :class:`~repro.grid.Mesh1D` or
     :class:`~repro.grid.Mesh2D`, whose hop metric is the unit L1
-    distance, and every DP value an integer below 2**53: the volumes are
-    non-negative integers, and the largest path sum, bounded from the
-    reference counts, stays below 2**53 with one more hop to spare.
+    distance, and every DP value an integer below 2**53: the volumes
+    (positive and finite by construction) are integers, and the largest
+    path sum, bounded from the reference counts, stays below 2**53 with
+    one more hop to spare.
     """
     if type(model.topology) not in (Mesh1D, Mesh2D):
         return None
-    if not (np.isfinite(vols) & (vols >= 0) & (vols == np.floor(vols))).all():
+    if not (vols == np.floor(vols)).all():
         return None
     # a path pays at most `hops` per reference, per move and for the pin
     refs = tensor.counts.sum(axis=(1, 2))
@@ -267,11 +261,13 @@ def _walk_paths(
 ):
     """Route each datum through its cost-graph, masking claimed cells.
 
-    The sequential masked path walk: the python kernel of GOMCDS and the
-    fault reschedulers, and the movement-budgeted variant (whose solver
-    has no batched form).  Data are taken in ``order``; datum ``d`` may
-    use the cells of ``base & tracker.available_mask()`` (either operand
-    may be absent), ``solve_path`` picks its path over ``costs[d]`` with
+    The sequential masked path walk behind the movement-budgeted variant
+    (whose solver has no batched form); with
+    :func:`~repro.core.kernels.shortest_center_path_python` it is the
+    test reference for :func:`_batched_walk`.  Data are taken in
+    ``order``; datum ``d`` may use the cells of
+    ``base & tracker.available_mask()`` (either operand may be absent),
+    ``solve_path`` picks its path over ``costs[d]`` with
     relocation costs ``vols[d] * dist``, and the tracker claims that path
     before the next datum is routed.
 
@@ -396,24 +392,11 @@ def _batched_walk(
     return centers, potentials, masks if record_masks else None
 
 
-def _path_walk(
-    kernel: str, obs: Instrumentation, grid: tuple[int, ...] | None = None
-):
-    """The masked path walk for ``kernel``: batched numpy or scalar oracle.
-
-    ``grid`` (see :func:`_l1_grid`) reaches the numpy walk's DP only.
-    """
-    if kernel == "python":
-        return partial(_walk_paths, shortest_center_path_python)
-    return partial(_batched_walk, obs=obs, grid=grid)
-
-
 def _solve(
     tensor: ReferenceTensor,
     model: CostModel,
     capacity: CapacityPlan | None,
     *,
-    kernel: str,
     obs: Instrumentation,
     certify: bool,
     phase: str,
@@ -433,7 +416,7 @@ def _solve(
     datum resides.  Phase spans are ``<phase>.cost_tensor``, then
     ``<phase>.dp_sweep`` when nothing masks the walk or
     ``<phase>.capacity_walk`` otherwise.  On a 1-D or 2-D mesh with
-    integer volumes the numpy DP takes the separable L1 step
+    integer volumes the DP takes the separable L1 step
     (:func:`_l1_grid`).  The schedule carries ``meta``
     (plus the certificate when ``certify``), and provenance, tagged with
     ``meta``, covers the full horizon with every prefix cell admissible.
@@ -443,7 +426,7 @@ def _solve(
     dist = model.distances.astype(np.float64)
     vols = model.volume_vector(n_data)
     with obs.span(f"{phase}.cost_tensor"):
-        full_costs = placement_cost_tensor(tensor, model, kernel)
+        full_costs = model.all_placement_costs(tensor)
         costs = full_costs[:, start:]
         if pin is not None:
             costs = costs.copy()
@@ -457,9 +440,10 @@ def _solve(
     step = "dp_sweep" if tracker is None and alive is None else "capacity_walk"
     grid = _l1_grid(tensor, model, vols, n_windows - start)
     with obs.span(f"{phase}.{step}"):
-        centers, potentials, masks = _path_walk(kernel, obs, grid)(
+        centers, potentials, masks = _batched_walk(
             costs, dist, vols, tensor.data_priority_order(), base=alive,
             tracker=tracker, certify=certify, record_masks=certify or record,
+            obs=obs, grid=grid,
         )
     if prefix is not None:
         centers = np.hstack([prefix, centers])
@@ -483,7 +467,7 @@ def _solve(
             masks = np.concatenate([history, masks], axis=1)
         record_decisions(
             obs, costs=full_costs, centers=centers, model=model,
-            method=method, kernel=kernel, masks=masks, meta=meta,
+            method=method, masks=masks, meta=meta,
         )
     return Schedule(
         centers=centers, windows=tensor.windows, method=method,
@@ -497,7 +481,6 @@ def gomcds(
     capacity: CapacityPlan | None = None,
     *,
     certify: bool = False,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """Global-optimal multiple-center scheduling (paper's Algorithm 2).
@@ -515,16 +498,12 @@ def gomcds(
     shortest-path node potentials, so :mod:`repro.verify` can prove each
     path optimal (within its admissible mask) without trusting the solver.
 
-    ``kernel`` selects the vectorized DP (``"numpy"``, default — one
-    ``(D, m, m)`` broadcast per window, or the O(D m) L1 distance
-    transform on a 1-D or 2-D mesh, and under capacity the
-    speculative batched walk of :func:`_batched_walk`) or the scalar
-    reference oracle (``"python"`` — the paper's pseudocode, datum by
-    datum and loop by loop); both produce bit-identical schedules and
-    certificates.
+    The DP is vectorized over data: one ``(D, m, m)`` broadcast per
+    window, or the O(D m) L1 distance transform on a 1-D or 2-D mesh,
+    and under capacity the speculative batched walk of
+    :func:`_batched_walk`.
     """
     obs = resolve(instrument)
-    kernel = resolve_kernel(kernel)
     n_data, n_windows = tensor.n_data, tensor.n_windows
     with obs.span(
         "scheduler.gomcds",
@@ -532,10 +511,9 @@ def gomcds(
         n_windows=n_windows,
         n_procs=model.n_procs,
         constrained=capacity is not None,
-        kernel=kernel,
     ):
         obs.gauge("gomcds.dp_cells", n_data * n_windows * model.n_procs)
         return _solve(
-            tensor, model, capacity, kernel=kernel, obs=obs,
+            tensor, model, capacity, obs=obs,
             certify=certify, phase="gomcds", method="GOMCDS",
         )

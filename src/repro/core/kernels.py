@@ -1,25 +1,21 @@
-"""Solver kernels: the vectorized numpy path and its scalar Python oracle.
+"""Scalar references for the vectorized solver layers (test oracles).
 
-Every scheduler in :mod:`repro.core` accepts a ``kernel=`` keyword:
+Each scheduler runs one path: cost-tensor construction, the window merge,
+the per-window argmin and the DP sweeps are numpy array ops over all
+``(window, processor)`` nodes at once.  The functions here are
+deliberately scalar, loop-by-loop transcriptions of the same arithmetic,
+one per layer where that path forks from the paper's pseudocode.  No
+production code calls them: the test suite calls each one directly and
+asserts it is *bit-identical* to the layer it mirrors on the same
+inputs.
 
-* ``"numpy"`` (the default) — cost-tensor construction and the DP
-  sweeps run as array ops over all ``(window, processor)`` nodes at
-  once.  This is the production path the batch engine
-  (:mod:`repro.engine`) fans out over.
-* ``"python"`` — a deliberately scalar, loop-by-loop reference
-  implementation of the same arithmetic.  It exists as a readable
-  transcription of the paper's pseudocode and as a differential-testing
-  oracle: property tests assert both kernels produce *bit-identical*
-  costs and centers on every instance.
-
-Bit-identity holds because both kernels perform the same elementary
+Bit-identity holds because both sides perform the same elementary
 operations in the same per-element order: reference costs are exact
-integer sums (the numpy kernel's float64 matmul is exact below 2**53)
-before the single volume multiply, and each DP cell is one multiply
-plus one add per transition (the numpy kernel's L1 step on meshes
-reaches the same integer values by exact repeated adds).  Ties break
-toward the lowest index in both kernels (scalar strict-``<`` scans
-mirror ``argmin``).
+integer sums (the float64 matmul is exact below 2**53) before the single
+volume multiply, and each DP cell is one multiply plus one add per
+transition (the L1 step on meshes reaches the same integer values by
+exact repeated adds).  Ties break toward the lowest index on both sides
+(scalar strict-``<`` scans mirror ``argmin``).
 """
 
 from __future__ import annotations
@@ -29,47 +25,21 @@ import numpy as np
 from ..mem import CapacityError, first_available
 
 __all__ = [
-    "KERNELS",
-    "resolve_kernel",
-    "placement_cost_tensor",
     "placement_cost_tensor_python",
     "merged_totals_python",
     "local_argmin_python",
     "hold_position_python",
-    "hold_position_numpy",
     "lomcds_walk_python",
     "shortest_center_path_python",
 ]
-
-#: Recognized kernel names, in preference order.
-KERNELS = ("numpy", "python")
-
-
-def resolve_kernel(kernel: str | None) -> str:
-    """Canonical kernel name (``None`` means the numpy default)."""
-    if kernel is None:
-        return "numpy"
-    name = str(kernel).lower()
-    if name not in KERNELS:
-        known = ", ".join(KERNELS)
-        raise ValueError(f"unknown kernel {kernel!r}; known kernels: {known}")
-    return name
-
 
 # ---------------------------------------------------------------------------
 # cost-tensor construction
 # ---------------------------------------------------------------------------
 
 
-def placement_cost_tensor(tensor, model, kernel: str) -> np.ndarray:
-    """The ``(D, W, m)`` placement cost tensor, built by ``kernel``."""
-    if kernel == "python":
-        return placement_cost_tensor_python(tensor, model)
-    return model.all_placement_costs(tensor)
-
-
 def placement_cost_tensor_python(tensor, model) -> np.ndarray:
-    """Scalar transcription of ``CostModel.all_placement_costs``.
+    """Test reference for ``CostModel.all_placement_costs``.
 
     ``C[d, w, p] = vol(d) * sum_q R[d, w, q] * Dist[q, p]`` with the
     inner sum accumulated in exact integer arithmetic — the same value
@@ -97,7 +67,7 @@ def placement_cost_tensor_python(tensor, model) -> np.ndarray:
 
 
 def merged_totals_python(cost_tensor: np.ndarray) -> np.ndarray:
-    """Scalar window merge for SCDS: ``t[d, p] = sum_w C[d, w, p]``."""
+    """Test reference for SCDS's window merge: ``t[d, p] = sum_w C[d, w, p]``."""
     n_data, n_windows, n_procs = cost_tensor.shape
     out = np.empty((n_data, n_procs), dtype=np.float64)
     for d in range(n_data):
@@ -115,7 +85,8 @@ def merged_totals_python(cost_tensor: np.ndarray) -> np.ndarray:
 
 
 def local_argmin_python(cost_tensor: np.ndarray) -> np.ndarray:
-    """Scalar per-window argmin (ties toward the lowest pid)."""
+    """Test reference for LOMCDS's per-window argmin (ties toward the
+    lowest pid)."""
     n_data, n_windows, n_procs = cost_tensor.shape
     centers = np.empty((n_data, n_windows), dtype=np.int64)
     for d in range(n_data):
@@ -130,7 +101,9 @@ def local_argmin_python(cost_tensor: np.ndarray) -> np.ndarray:
 
 
 def hold_position_python(centers: np.ndarray, referenced: np.ndarray) -> None:
-    """Forward-fill centers across idle windows (in place, scalar).
+    """Test reference for LOMCDS's idle hold
+    (:func:`repro.core.lomcds._hold_position`): forward-fill centers
+    across idle windows (in place, scalar).
 
     Windows before a datum's first reference copy the first referenced
     center backward; a datum never referenced keeps its window-0 center.
@@ -151,31 +124,12 @@ def hold_position_python(centers: np.ndarray, referenced: np.ndarray) -> None:
                 centers[d, w] = last_center
 
 
-def hold_position_numpy(centers: np.ndarray, referenced: np.ndarray) -> None:
-    """Vectorized idle hold: one gather instead of a loop over data.
-
-    For each ``(d, w)`` the source window is the last referenced window
-    at or before ``w`` (forward fill), or the first referenced window
-    when none precedes it (backward fill of the initial placement).
-    Bit-identical to :func:`hold_position_python` by construction.
-    """
-    n_data, n_windows = centers.shape
-    if n_data == 0 or n_windows == 0:
-        return
-    w_idx = np.arange(n_windows, dtype=np.int64)
-    marked = np.where(referenced, w_idx[None, :], -1)
-    last_ref = np.maximum.accumulate(marked, axis=1)  # (D, W), -1 = none yet
-    # argmax of a boolean row is its first True; all-False rows give 0,
-    # which matches the scalar rule "keep the window-0 center".
-    first_ref = referenced.argmax(axis=1).astype(np.int64)
-    source = np.where(last_ref >= 0, last_ref, first_ref[:, None])
-    centers[:] = centers[np.arange(n_data)[:, None], source]
-
-
 def lomcds_walk_python(
     costs, referenced, order, tracker, masks=None, evictions=None
 ):
-    """Scalar LOMCDS capacity walk: one processor-list scan per cell.
+    """Test reference for LOMCDS's capacity walk
+    (:func:`repro.core.lomcds._capacity_walk`): one processor-list scan
+    per cell.
 
     Data are taken in ``order`` and claim one slot per window.  Window 0
     and every referenced window take the first free processor on the
@@ -224,7 +178,7 @@ def shortest_center_path_python(
     allowed: np.ndarray | None = None,
     return_potentials: bool = False,
 ):
-    """Scalar transcription of the Algorithm 2 forward DP.
+    """Test reference for the Algorithm 2 forward DP.
 
     Mirrors :func:`repro.core.gomcds.shortest_center_path` cell by cell:
     ``f_w[k] = min_j (f_{w-1}[j] + move[j][k]) + C[w][k]`` with each

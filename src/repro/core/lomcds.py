@@ -16,23 +16,37 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .kernels import (
-    hold_position_numpy,
-    hold_position_python,
-    local_argmin_python,
-    lomcds_walk_python,
-    placement_cost_tensor,
-    resolve_kernel,
-)
 from .schedule import Schedule
 
 __all__ = ["lomcds"]
 
 
+def _hold_position(centers: np.ndarray, referenced: np.ndarray) -> None:
+    """Vectorized idle hold: one gather instead of a loop over data.
+
+    For each ``(d, w)`` the source window is the last referenced window
+    at or before ``w`` (forward fill), or the first referenced window
+    when none precedes it (backward fill of the initial placement).
+    Bit-identical to its test reference,
+    :func:`~repro.core.kernels.hold_position_python`.
+    """
+    n_data, n_windows = centers.shape
+    if n_data == 0 or n_windows == 0:
+        return
+    w_idx = np.arange(n_windows, dtype=np.int64)
+    marked = np.where(referenced, w_idx[None, :], -1)
+    last_ref = np.maximum.accumulate(marked, axis=1)  # (D, W), -1 = none yet
+    # argmax of a boolean row is its first True; all-False rows give 0,
+    # which matches the scalar rule "keep the window-0 center".
+    first_ref = referenced.argmax(axis=1).astype(np.int64)
+    source = np.where(last_ref >= 0, last_ref, first_ref[:, None])
+    centers[:] = centers[np.arange(n_data)[:, None], source]
+
+
 def _capacity_walk(
     costs, referenced, order, tracker, masks=None, evictions=None
 ):
-    """:func:`~repro.core.kernels.lomcds_walk_python`, one step per datum.
+    """The LOMCDS capacity walk, one step per datum.
 
     A datum claims one cell per window, so its own claims never change
     its availability in any other window: one availability snapshot per
@@ -40,8 +54,9 @@ def _capacity_walk(
     argsort + gather picks the first free processor on each window's
     list; idle windows forward-fill the last chosen center.  Only from
     the first idle window whose held slot is taken (an eviction) does the
-    datum fall back to the scalar window-by-window rule.  Same arguments
-    and return value as the scalar walk, bit-identical results.
+    datum fall back to the scalar window-by-window rule.  Same arguments,
+    return value and bits as its test reference,
+    :func:`~repro.core.kernels.lomcds_walk_python`.
     """
     n_data, n_windows, _ = costs.shape
     centers = np.empty((n_data, n_windows), dtype=np.int64)
@@ -92,7 +107,6 @@ def lomcds(
     model: CostModel,
     capacity: CapacityPlan | None = None,
     *,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """Per-window local-optimal centers for every datum.
@@ -101,12 +115,9 @@ def lomcds(
     preference there; it stays wherever the previous window put it (no
     gratuitous movement), which matches the paper's run-time behaviour of
     only moving data "to such centers according to these execution
-    windows".  ``kernel`` selects the vectorized path (``"numpy"``,
-    default) or the scalar reference oracle (``"python"``); both produce
-    bit-identical schedules.
+    windows".
     """
     obs = resolve(instrument)
-    kernel = resolve_kernel(kernel)
     n_data, n_windows = tensor.n_data, tensor.n_windows
     with obs.span(
         "scheduler.lomcds",
@@ -114,25 +125,20 @@ def lomcds(
         n_windows=n_windows,
         n_procs=model.n_procs,
         constrained=capacity is not None,
-        kernel=kernel,
     ):
         with obs.span("lomcds.cost_tensor"):
-            costs = placement_cost_tensor(tensor, model, kernel)
+            costs = model.all_placement_costs(tensor)
         referenced = tensor.counts.sum(axis=2) > 0  # (D, W)
 
         record = obs.provenance.recording
         if capacity is None:
             with obs.span("lomcds.local_argmin"):
-                if kernel == "python":
-                    centers = local_argmin_python(costs)
-                    hold_position_python(centers, referenced)
-                else:
-                    centers = costs.argmin(axis=2)  # lowest-pid tie-break
-                    hold_position_numpy(centers, referenced)
+                centers = costs.argmin(axis=2)  # lowest-pid tie-break
+                _hold_position(centers, referenced)
             if record:
                 record_decisions(
                     obs, costs=costs, centers=centers, model=model,
-                    method="LOMCDS", kernel=kernel,
+                    method="LOMCDS",
                 )
             return Schedule(
                 centers=centers, windows=tensor.windows, method="LOMCDS"
@@ -146,9 +152,8 @@ def lomcds(
             else None
         )
         evictions: list[tuple[int, int]] | None = [] if record else None
-        walk = lomcds_walk_python if kernel == "python" else _capacity_walk
         with obs.span("lomcds.capacity_walk") as span:
-            centers, idle_holds, idle_evictions = walk(
+            centers, idle_holds, idle_evictions = _capacity_walk(
                 costs, referenced, tensor.data_priority_order(), tracker,
                 masks, evictions,
             )
@@ -158,7 +163,7 @@ def lomcds(
         if record:
             record_decisions(
                 obs, costs=costs, centers=centers, model=model,
-                method="LOMCDS", kernel=kernel, masks=masks,
+                method="LOMCDS", masks=masks,
                 evictions=evictions,
             )
         return Schedule(

@@ -100,7 +100,7 @@ SCHEDULER_SPECS: dict[str, SchedulerSpec] = {
             movement_aware=False,
             online=False,
             description="single static center per datum (Algorithm 1)",
-            supported_kwargs=("kernel",),
+            supported_kwargs=(),
         ),
         SchedulerSpec(
             name="LOMCDS",
@@ -109,7 +109,7 @@ SCHEDULER_SPECS: dict[str, SchedulerSpec] = {
             movement_aware=False,
             online=False,
             description="per-window local-optimal centers (§3.2.1)",
-            supported_kwargs=("kernel",),
+            supported_kwargs=(),
         ),
         SchedulerSpec(
             name="GOMCDS",
@@ -118,7 +118,7 @@ SCHEDULER_SPECS: dict[str, SchedulerSpec] = {
             movement_aware=True,
             online=False,
             description="cost-graph shortest-path centers (Algorithm 2)",
-            supported_kwargs=("certify", "kernel"),
+            supported_kwargs=("certify",),
         ),
         SchedulerSpec(
             name="OMCDS",

@@ -31,7 +31,6 @@ from ..obs import Instrumentation, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
 from .gomcds import _solve
-from .kernels import resolve_kernel
 from .schedule import Schedule
 
 __all__ = ["reschedule_around_faults", "reschedule_from_window"]
@@ -72,7 +71,6 @@ def reschedule_around_faults(
     capacity: CapacityPlan | None = None,
     *,
     certify: bool = False,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """GOMCDS-style scheduling that never places data on a failed node.
@@ -89,9 +87,6 @@ def reschedule_around_faults(
         at replay time.
     capacity:
         Optional memory constraint, enforced jointly with liveness.
-    kernel:
-        ``"numpy"`` (default, the batched speculative walk) or
-        ``"python"`` (the scalar per-datum oracle); bit-identical.
 
     Returns
     -------
@@ -106,7 +101,6 @@ def reschedule_around_faults(
     """
     plan.validate_for(model.topology, tensor.n_windows)
     obs = resolve(instrument)
-    kernel = resolve_kernel(kernel)
     n_windows = tensor.n_windows
     with obs.span(
         "scheduler.reschedule_around_faults",
@@ -117,7 +111,7 @@ def reschedule_around_faults(
     ):
         alive = _alive_from(plan, n_windows, model.n_procs, 0, obs)
         return _solve(
-            tensor, model, capacity, kernel=kernel, obs=obs,
+            tensor, model, capacity, obs=obs,
             certify=certify, phase="reschedule", method="GOMCDS+faults",
             meta={"n_node_faults": len(plan.node_faults)}, alive=alive,
         )
@@ -133,7 +127,6 @@ def reschedule_from_window(
     capacity: CapacityPlan | None = None,
     *,
     certify: bool = False,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """Re-plan only the windows ``from_window ..`` against a degraded array.
@@ -187,7 +180,6 @@ def reschedule_from_window(
         )
 
     obs = resolve(instrument)
-    kernel = resolve_kernel(kernel)
     with obs.span(
         "scheduler.reschedule_from_window",
         from_window=from_window,
@@ -197,7 +189,7 @@ def reschedule_from_window(
     ):
         alive = _alive_from(plan, n_windows, n_procs, from_window, obs)
         return _solve(
-            tensor, model, capacity, kernel=kernel, obs=obs,
+            tensor, model, capacity, obs=obs,
             certify=certify, phase="reschedule", method="GOMCDS+recovery",
             meta={
                 "from_window": from_window,

@@ -13,11 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..mem import CapacityPlan, OccupancyTracker
-from ..obs import NOOP, Instrumentation, record_decisions, resolve
+from ..obs import Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _path_walk
-from .kernels import merged_totals_python, placement_cost_tensor, resolve_kernel
+from .gomcds import _batched_walk
 from .schedule import Schedule
 
 __all__ = ["scds"]
@@ -28,7 +27,6 @@ def scds(
     model: CostModel,
     capacity: CapacityPlan | None = None,
     *,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> Schedule:
     """Single-center placement for every datum (paper's Algorithm 1).
@@ -44,10 +42,6 @@ def scds(
         which case every datum lands exactly on its merged-window optimal
         center.  With a constraint, data are assigned in descending
         reference-volume order and each walks its processor list.
-    kernel:
-        ``"numpy"`` (default) for the vectorized cost accumulation,
-        ``"python"`` for the scalar reference oracle — bit-identical
-        results (see :mod:`repro.core.kernels`).
 
     Returns
     -------
@@ -55,7 +49,6 @@ def scds(
     constant across windows).
     """
     obs = resolve(instrument)
-    kernel = resolve_kernel(kernel)
     n_data = tensor.n_data
     with obs.span(
         "scheduler.scds",
@@ -63,17 +56,13 @@ def scds(
         n_windows=tensor.n_windows,
         n_procs=model.n_procs,
         constrained=capacity is not None,
-        kernel=kernel,
     ):
         record = obs.provenance.recording
         # Line 2-4 of Algorithm 1: cost of putting datum i at node j, with
         # all windows collected together.
         with obs.span("scds.cost_tensor"):
-            costs = placement_cost_tensor(tensor, model, kernel)  # (D, W, m)
-            if kernel == "python":
-                totals = merged_totals_python(costs)
-            else:
-                totals = costs.sum(axis=1)  # (D, m)
+            costs = model.all_placement_costs(tensor)  # (D, W, m)
+            totals = costs.sum(axis=1)  # (D, m)
 
         if capacity is None:
             # Stable argmin = lowest-pid tie-breaking.
@@ -84,7 +73,7 @@ def scds(
             # Lines 5-7: sorted processor list, first available slot — the
             # one-window case of the GOMCDS capacity walk.
             with obs.span("scds.capacity_walk") as walk:
-                paths, _, masks = _path_walk(kernel, NOOP)(
+                paths, _, masks = _batched_walk(
                     totals[:, None, :],
                     model.distances.astype(np.float64),
                     model.volume_vector(n_data),
@@ -100,6 +89,6 @@ def scds(
         if record:
             record_decisions(
                 obs, costs=costs, centers=result.centers, model=model,
-                method="SCDS", kernel=kernel, masks=masks,
+                method="SCDS", masks=masks,
             )
         return result

@@ -1,9 +1,7 @@
-"""The batch solving engine: vectorized kernels, cache, and fan-out.
+"""The batch solving engine: cache and fan-out.
 
 This package is the throughput layer over :func:`repro.schedule`:
 
-* kernels live in :mod:`repro.core.kernels` (``kernel="numpy"`` |
-  ``"python"``, bit-identical by contract);
 * :mod:`repro.engine.cache` content-addresses solve requests so equal
   problems are solved once (in memory, optionally on disk);
 * :mod:`repro.engine.pool` fans batches out over a process pool with

@@ -13,10 +13,7 @@ canonicalizes a request into a sha256 content address:
   the topology object, so two topology classes inducing the same metric
   share entries;
 * algorithm names are case-folded and options are JSON-canonicalized
-  (sorted keys).  The ``kernel`` option is *excluded* from the key: the
-  kernels are bit-identical by contract (property-tested), so a python
-  solve may be answered from a numpy one and vice versa.  ``instrument``
-  never participates.
+  (sorted keys).  ``instrument`` never participates.
 
 :class:`SolveCache` fronts an in-memory LRU with an optional on-disk
 store (one pickle per key, written atomically).  Cached schedules are
@@ -49,7 +46,7 @@ CACHE_KEY_VERSION = 1
 
 #: Options that never change the solved schedule and are therefore left
 #: out of the content address.
-_NON_SEMANTIC_OPTIONS = frozenset({"kernel", "instrument"})
+_NON_SEMANTIC_OPTIONS = frozenset({"instrument"})
 
 
 def _array_bytes(array: np.ndarray, dtype) -> bytes:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Mapping, Sequence
 
-from ..core import Schedule, scheduler_spec
+from ..core import Schedule
 from ..obs import (
     NOOP,
     Instrumentation,
@@ -60,9 +60,9 @@ class ScheduleRequest:
     """One unit of batch work: a problem plus how to solve it.
 
     ``options`` holds algorithm-specific keywords exactly as
-    :func:`repro.schedule` accepts them (``certify``, ``kernel``,
-    ``hysteresis``); ``label`` is free-form and only used for spans and
-    human-readable output — it does not participate in the cache key.
+    :func:`repro.schedule` accepts them (``certify``, ``hysteresis``);
+    ``label`` is free-form and only used for spans and human-readable
+    output — it does not participate in the cache key.
     """
 
     tensor: object
@@ -83,21 +83,7 @@ class ScheduleRequest:
         )
 
 
-def _effective_options(request: ScheduleRequest, kernel: str | None) -> dict:
-    """Request options with the batch-level kernel default applied.
-
-    A kernel named by the request itself wins; the batch default only
-    fills the gap, and only for algorithms that accept one.
-    """
-    options = dict(request.options)
-    if kernel is not None and "kernel" not in options:
-        spec = scheduler_spec(request.algorithm)
-        if "kernel" in spec.supported_kwargs:
-            options["kernel"] = kernel
-    return options
-
-
-def _run_request(request: ScheduleRequest, kernel: str | None, obs):
+def _run_request(request: ScheduleRequest, obs):
     """Solve one request under the per-request protocol; ``(schedule, elapsed)``.
 
     The inline path and the pool workers both run this, so every solve
@@ -110,7 +96,6 @@ def _run_request(request: ScheduleRequest, kernel: str | None, obs):
     tags = {"algorithm": request.algorithm, "label": request.label}
     record_event("solve.start", **tags)
     logged = len(obs.provenance)
-    options = _effective_options(request, kernel)
     with obs.span("engine.request", **tags):
         start = perf_counter()
         solved = schedule(
@@ -119,7 +104,7 @@ def _run_request(request: ScheduleRequest, kernel: str | None, obs):
             algorithm=request.algorithm,
             capacity=request.capacity,
             instrument=obs,
-            **options,
+            **request.options,
         )
         elapsed = perf_counter() - start
     record_event("solve.end", **tags, elapsed_us=elapsed * 1e6)
@@ -131,7 +116,6 @@ def _run_request(request: ScheduleRequest, kernel: str | None, obs):
 
 def _solve_in_worker(
     request: ScheduleRequest,
-    kernel: str | None,
     collect: bool,
     provenance: bool = False,
 ):
@@ -145,11 +129,11 @@ def _solve_in_worker(
     it the solve runs dark and its events stay in the worker's ring.
     """
     if not collect:
-        return (*_run_request(request, kernel, NOOP), None)
+        return (*_run_request(request, NOOP), None)
     instr = Instrumentation.started(provenance=provenance)
     ring = flight_recorder()
     watermark = ring.next_seq
-    solved, elapsed = _run_request(request, kernel, instr)
+    solved, elapsed = _run_request(request, instr)
     snap = snapshot(
         instr, label=request.label, events=ring.events_since(watermark)
     )
@@ -161,7 +145,6 @@ def schedule_many(
     *,
     workers: int = 1,
     cache: SolveCache | None = None,
-    kernel: str | None = None,
     instrument: Instrumentation | None = None,
 ) -> list[Schedule]:
     """Solve every request, in order, with dedup + cache + fan-out.
@@ -177,9 +160,6 @@ def schedule_many(
         Optional shared :class:`SolveCache`.  When given, results are
         the cache's deep-frozen copies (read-only arrays) and repeats
         across calls are answered without solving.
-    kernel:
-        Batch-wide default solver kernel, overridable per request via
-        ``options["kernel"]``.
     instrument:
         Parent-side instrumentation; counters land under ``engine.*``
         and, when recording, worker telemetry is harvested and merged
@@ -240,10 +220,10 @@ def schedule_many(
         try:
             if inline:
                 outcomes = [
-                    _run_request(request, kernel, obs) for _, request in pending
+                    _run_request(request, obs) for _, request in pending
                 ]
             else:
-                outcomes = _run_pool(pending, workers, kernel, obs)
+                outcomes = _run_pool(pending, workers, obs)
         except Exception:
             dump_on_error(
                 f"schedule_many({len(requests)} requests, workers={workers})"
@@ -266,7 +246,7 @@ def schedule_many(
     return [solved[key] for key in keys]
 
 
-def _run_pool(pending, workers, kernel, obs):
+def _run_pool(pending, workers, obs):
     """Fan the unique solves over a process pool; ``(schedule, elapsed)`` pairs.
 
     When ``obs`` records, each worker returns one
@@ -278,7 +258,6 @@ def _run_pool(pending, workers, kernel, obs):
             pool.submit(
                 _solve_in_worker,
                 request,
-                kernel,
                 obs.enabled,
                 obs.provenance.recording,
             )

@@ -11,7 +11,7 @@ reproduces that sizing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -100,6 +100,8 @@ class CapacityPlan:
         """
         if n_data < 1 or n_procs < 1:
             raise ValueError("n_data and n_procs must be positive")
+        if not isfinite(multiplier):
+            raise ValueError(f"multiplier must be finite, got {multiplier!r}")
         if multiplier < 1.0:
             raise ValueError("multiplier below 1 cannot fit the data at all")
         minimum = ceil(n_data / n_procs)

@@ -23,11 +23,10 @@ session and strictly observational: schedules solved with provenance on
 are bit-identical to dark runs (tested by property tests).  The dark
 default costs one attribute read per solve (``NULL_PROVENANCE_STORE``).
 
-Two derivation paths mirror the solver kernels: :func:`derive_decisions`
-(vectorized) and :func:`derive_decisions_python` (scalar loops), bit
-identical to each other — the python oracle doubles as a provenance
-oracle.  Logs are plain dataclasses of ndarrays, so they pickle across
-process boundaries and ride home in a
+Solves derive their logs with :func:`derive_decisions` (vectorized);
+:func:`derive_decisions_python` (scalar loops) is its bit-identical test
+reference, run on a solve's recorded inputs.  Logs are plain dataclasses
+of ndarrays, so they pickle across process boundaries and ride home in a
 :class:`~repro.obs.remote.TelemetrySnapshot`.
 """
 
@@ -83,7 +82,6 @@ class DecisionLog:
     """
 
     method: str
-    kernel: str
     n_procs: int
     centers: np.ndarray  #: (D, W) chosen center per cell
     actions: np.ndarray  #: (D, W) int8 codes into ACTION_NAMES
@@ -219,7 +217,6 @@ class DecisionLog:
         return {
             "type": "provenance",
             "method": self.method,
-            "kernel": self.kernel,
             "label": self.label,
             "n_data": self.n_data,
             "n_windows": self.n_windows,
@@ -254,21 +251,20 @@ class DecisionLog:
         acted = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
         label = f" [{self.label}]" if self.label else ""
         return (
-            f"{self.method}{label} ({self.kernel}): "
+            f"{self.method}{label}: "
             f"{self.n_data}x{self.n_windows} decisions — {acted or 'none'}"
         )
 
 
 # ---------------------------------------------------------------------------
-# Derivation (one vectorized + one scalar path, bit-identical)
+# Derivation (the vectorized path and its scalar test reference)
 # ---------------------------------------------------------------------------
 
 
-def _empty_log(method, kernel, n_procs, centers, volumes, label, meta) -> DecisionLog:
+def _empty_log(method, n_procs, centers, volumes, label, meta) -> DecisionLog:
     shape = centers.shape
     return DecisionLog(
         method=method,
-        kernel=kernel,
         n_procs=int(n_procs),
         centers=centers.astype(np.int64),
         actions=np.zeros(shape, dtype=np.int8),
@@ -317,7 +313,6 @@ def derive_decisions(
     volumes: np.ndarray,
     *,
     method: str,
-    kernel: str = "numpy",
     masks: np.ndarray | None = None,
     evictions=None,
     label: str | None = None,
@@ -346,7 +341,7 @@ def derive_decisions(
         costs, centers, dist, volumes, masks
     )
     n_data, n_windows, n_procs = costs.shape
-    log = _empty_log(method, kernel, n_procs, centers, volumes, label, meta)
+    log = _empty_log(method, n_procs, centers, volumes, label, meta)
     if n_data == 0 or n_windows == 0:
         return log
     d_idx = np.arange(n_data)[:, None]
@@ -381,23 +376,22 @@ def derive_decisions_python(
     volumes: np.ndarray,
     *,
     method: str,
-    kernel: str = "python",
     masks: np.ndarray | None = None,
     evictions=None,
     label: str | None = None,
     meta: dict | None = None,
 ) -> DecisionLog:
-    """Scalar reference derivation — bit-identical to :func:`derive_decisions`.
+    """Test reference for :func:`derive_decisions`, bit-identical to it.
 
     Loops cell by cell with strict ``<`` scans (first minimum wins, the
-    codebase-wide lowest-pid tie-break), so the python solver kernel's
-    provenance doubles as an oracle for the vectorized path.
+    codebase-wide lowest-pid tie-break); tests run it on a solve's
+    recorded inputs as an oracle for the vectorized path.
     """
     costs, centers, dist, volumes, masks = _normalize(
         costs, centers, dist, volumes, masks
     )
     n_data, n_windows, n_procs = costs.shape
-    log = _empty_log(method, kernel, n_procs, centers, volumes, label, meta)
+    log = _empty_log(method, n_procs, centers, volumes, label, meta)
     for d in range(n_data):
         for w in range(n_windows):
             chosen = int(centers[d, w])
@@ -443,7 +437,6 @@ def record_decisions(
     centers: np.ndarray,
     model,
     method: str,
-    kernel: str = "numpy",
     masks: np.ndarray | None = None,
     evictions=None,
     meta: dict | None = None,
@@ -451,22 +444,19 @@ def record_decisions(
     """Derive and store a :class:`DecisionLog` when provenance is on.
 
     The single hook the schedulers call: a no-op (``None``) unless the
-    resolved session's provenance store is recording.  Dispatches to the
-    scalar derivation when the solve ran on the python kernel, mirrors
-    the evaluator's distance/volume conventions, and records the solve
-    as a ``provenance.solve`` flight event.
+    resolved session's provenance store is recording.  Mirrors the
+    evaluator's distance/volume conventions and records the solve as a
+    ``provenance.solve`` flight event.
     """
     if not obs.provenance.recording:
         return None
     centers = np.asarray(centers)
-    derive = derive_decisions_python if kernel == "python" else derive_decisions
-    log = derive(
+    log = derive_decisions(
         costs,
         centers,
         np.asarray(model.distances, dtype=np.float64),
         model.volume_vector(centers.shape[0]),
         method=method,
-        kernel=kernel,
         masks=masks,
         evictions=evictions,
         meta=meta,
@@ -497,7 +487,6 @@ class ProvenanceStore:
         record_event(
             "provenance.solve",
             method=log.method,
-            kernel=log.kernel,
             label=log.label,
             n_data=log.n_data,
             n_windows=log.n_windows,

@@ -48,7 +48,6 @@ class PaperInstance:
         *,
         faults: FaultPlan | None = None,
         certify: bool = False,
-        kernel: str | None = None,
         instrument: Instrumentation | None = None,
     ) -> Schedule:
         """Schedule the instance under its capacity plan.
@@ -56,21 +55,21 @@ class PaperInstance:
         With a ``faults`` plan the fault-aware rescheduler
         (:func:`~repro.core.reschedule_around_faults`) runs and
         ``scheduler`` is not consulted; otherwise the registry spec named
-        ``scheduler`` does.  ``certify`` and ``kernel`` reach a spec only
-        when its ``supported_kwargs`` lists them, so asking for a
-        certificate from SCDS solves without one.
+        ``scheduler`` does.  ``certify`` reaches a spec only when its
+        ``supported_kwargs`` lists it, so asking for a certificate from
+        SCDS solves without one.
         """
         if faults is not None:
             return reschedule_around_faults(
                 self.tensor, self.model, faults, self.capacity,
-                certify=certify, kernel=kernel, instrument=instrument,
+                certify=certify, instrument=instrument,
             )
         spec = scheduler_spec(scheduler)
-        options = {
-            key: value
-            for key, value in (("certify", certify), ("kernel", kernel))
-            if value and key in spec.supported_kwargs
-        }
+        options = (
+            {"certify": True}
+            if certify and "certify" in spec.supported_kwargs
+            else {}
+        )
         return spec(
             self.tensor, self.model, self.capacity, instrument=instrument,
             **options,

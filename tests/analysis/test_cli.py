@@ -44,6 +44,18 @@ def test_capacity_multiplier_flag(capsys):
     assert "Table 1" in out
 
 
+@pytest.mark.parametrize("multiplier", ("inf", "nan"))
+@pytest.mark.parametrize("command", ("lint", "certify"))
+def test_non_finite_capacity_multiplier_is_a_config_error(
+    capsys, command, multiplier
+):
+    argv = [command, "--bench", "1", "--size", "8"]
+    code = main([*argv, "--capacity-multiplier", multiplier])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert f"error: multiplier must be finite, got {multiplier}" in err
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -13,7 +13,12 @@ from repro.analysis import (
     render_explain_human,
 )
 from repro.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_UNREACHABLE_DATA, main
+from repro.verify import check_provenance_log
 from repro.workloads import paper_instance
+from tests.reference_pairs import (
+    assert_derivations_match,
+    recorded_derivations,
+)
 
 ARGS = ["--bench", "1", "--size", "8", "--mesh", "2", "4"]
 
@@ -37,12 +42,32 @@ def test_explain_workload_faulted_variant():
     assert (result.schedule.centers[:, 1:] != 3).all()
 
 
-def test_explain_workload_faulted_variant_honours_kernel():
-    result = explain_workload(
-        paper_instance(1, 8), fail_node=5, kernel="python"
-    )
-    assert result.kernel == "python"
+#: The solves the CI explain step runs: GOMCDS on every benchmark,
+#: constrained SCDS at the tightest paper-rule capacity, and the faulted
+#: reschedule.
+ORACLE_SOLVES = [
+    *(
+        pytest.param(bench, 2.0, {}, id=f"gomcds-bench{bench}")
+        for bench in (1, 2, 3, 4, 5)
+    ),
+    pytest.param(1, 1.0, {"scheduler": "SCDS"}, id="scds-x1.0"),
+    pytest.param(1, 2.0, {"fail_node": 5, "fail_window": 2}, id="faulted"),
+]
+
+
+@pytest.mark.parametrize("bench, multiplier, flags", ORACLE_SOLVES)
+def test_recorded_solves_match_the_scalar_derivation(bench, multiplier, flags):
+    """The scalar derivation on each solve's recorded costs, centers,
+    masks and evictions reproduces the stored log, and passes the VER012
+    audit on its own."""
+    instance = paper_instance(bench, 8, capacity_multiplier=multiplier)
+    with recorded_derivations() as calls:
+        result = explain_workload(instance, **flags)
     assert result.attribution_exact and not result.diagnostics
+    (reference,) = assert_derivations_match(calls)
+    assert check_provenance_log(
+        reference, result.schedule, instance.tensor, instance.model
+    ) == []
 
 
 def test_explain_workload_rejects_unknown_benchmark():
@@ -115,12 +140,14 @@ def test_cli_jsonl_and_diff(tmp_path, capsys):
     assert "shared decisions changed" in capsys.readouterr().out
 
 
-def test_cli_python_kernel_and_json(capsys):
-    code = main(["explain", *ARGS, "--kernel", "python", "--format", "json"])
+def test_cli_json_header(capsys):
+    code = main(["explain", *ARGS, "--format", "json"])
     assert code == EXIT_OK
     records = json.loads(capsys.readouterr().out)
     header = records[0]
-    assert header["kernel"] == "python"
+    assert header["type"] == "provenance"
+    assert header["method"] == "GOMCDS"
+    assert "kernel" not in header
 
 
 def test_cli_overhead_gate(capsys):

@@ -52,7 +52,7 @@ GOLDEN_LINT_CENTERS = {
     4: "cc41bc2fcf187298",
     5: "43cb3dd9236a2043",
 }
-GOLDEN_EXPLAIN = "1326ed0995f242a4"
+GOLDEN_EXPLAIN = "ee1204dc7f4b5450"
 GOLDEN_TABLE1 = "2c9774b9a1a67c80"
 
 

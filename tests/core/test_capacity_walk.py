@@ -1,8 +1,8 @@
 """The batched capacity walks, one forced branch at a time.
 
 Each case is small enough to follow by hand and pins both the outcome
-and the walk counters, then checks the numpy kernel against the python
-kernel's per-datum scalar walk.
+and the walk counters, then checks the batched walk against its
+per-datum scalar test reference on the same inputs.
 """
 
 import numpy as np
@@ -16,13 +16,18 @@ from repro.core import (
     reschedule_around_faults,
     scds,
 )
-from repro.core.gomcds import _path_walk
-from repro.faults import FaultPlan, NodeFault
+from repro.faults import FaultPlan, NodeFault, alive_window_mask
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
-from repro.obs import NOOP, Instrumentation
+from repro.obs import Instrumentation
 from repro.trace import build_reference_tensor
 from repro.workloads import trace_from_counts
+from tests.reference_pairs import (
+    assert_derivations_match,
+    assert_lomcds_walks_match,
+    assert_path_walks_match,
+    recorded_derivations,
+)
 
 
 def tensor_1d(counts):
@@ -35,6 +40,16 @@ def counters(instr):
     return {k: c.value for k, c in instr.metrics.counters.items()}
 
 
+def walk_inputs(tensor, model):
+    """The walks' shared inputs: costs, distances, volumes, order."""
+    return (
+        model.all_placement_costs(tensor),
+        model.distances.astype(np.float64),
+        model.volume_vector(tensor.n_data),
+        tensor.data_priority_order(),
+    )
+
+
 def test_guess_hitting_a_cell_claimed_in_the_same_batch_is_resolved():
     # both data want pid 1 in both windows; one slot per processor, so the
     # lighter datum's first-batch guess collides with the heavier one's claim
@@ -45,61 +60,50 @@ def test_guess_hitting_a_cell_claimed_in_the_same_batch_is_resolved():
     capacity = CapacityPlan.uniform(3, 1)
     instr = Instrumentation.started()
     fast = gomcds(tensor, model, capacity, certify=True, instrument=instr)
-    slow = gomcds(tensor, model, capacity, certify=True, kernel="python")
     # pid 0 and pid 2 tie for the evicted datum: lowest index wins
     assert fast.centers.tolist() == [[1, 1], [0, 0]]
     assert counters(instr) == {
         "gomcds.walk_batches": 2.0,
         "gomcds.walk_resolved": 1.0,
     }
-    assert np.array_equal(fast.centers, slow.centers)
-    for key in ("potentials", "masks", "totals"):
-        assert np.array_equal(
-            fast.meta["certificate"][key], slow.meta["certificate"][key]
-        )
+    centers, potentials, masks = assert_path_walks_match(
+        *walk_inputs(tensor, model), capacity=capacity
+    )
+    assert np.array_equal(fast.centers, centers)
+    certificate = fast.meta["certificate"]
+    assert np.array_equal(certificate["potentials"], potentials)
+    assert np.array_equal(certificate["masks"], masks)
 
 
 def test_walk_counters_come_only_from_the_batched_walk():
     tensor, model = tensor_1d([[[0, 1, 0]], [[0, 1, 0]]])
     capacity = CapacityPlan.uniform(3, 1)
     instr = Instrumentation.started()
-    gomcds(tensor, model, capacity, kernel="python", instrument=instr)
     gomcds(tensor, model, instrument=instr)  # unconstrained: no walk
     assert counters(instr) == {}
     # SCDS and OMCDS's window 0 run the one-window walk without counters
     omcds(tensor, model, capacity, instrument=instr)
     assert counters(instr) == {}
-    for kernel in ("numpy", "python"):
-        instr = Instrumentation.started()
-        sched = scds(tensor, model, capacity, kernel=kernel, instrument=instr)
-        assert sched.centers.tolist() == [[1], [0]]
-        assert counters(instr) == {"scheduler.capacity_fallbacks": 1.0}
-        (walk,) = [s for s in instr.tracer.spans if s.name == "scds.capacity_walk"]
-        assert walk.attrs["fallbacks"] == 1
+    instr = Instrumentation.started()
+    sched = scds(tensor, model, capacity, instrument=instr)
+    assert sched.centers.tolist() == [[1], [0]]
+    assert counters(instr) == {"scheduler.capacity_fallbacks": 1.0}
+    (walk,) = [s for s in instr.tracer.spans if s.name == "scds.capacity_walk"]
+    assert walk.attrs["fallbacks"] == 1
 
 
 def test_unmasked_walks_record_no_masks():
     # no base mask and no tracker: every cell is admissible, so neither
-    # kernel's walk records masks, even when asked to
+    # the batched walk nor its reference records masks, even when asked to
     tensor, model = tensor_1d([
         [[0, 3, 0], [2, 0, 0]],
         [[1, 0, 1], [0, 0, 2]],
     ])
-    walked = {}
-    for kernel in ("numpy", "python"):
-        centers, potentials, masks = _path_walk(kernel, NOOP)(
-            model.all_placement_costs(tensor).astype(np.float64),
-            model.distances.astype(np.float64),
-            model.volume_vector(tensor.n_data),
-            tensor.data_priority_order(),
-            certify=True,
-            record_masks=True,
-        )
-        assert masks is None
-        walked[kernel] = centers, potentials
-    assert walked["numpy"][0].tolist() == [[1, 0], [2, 2]]
-    for fast, slow in zip(walked["numpy"], walked["python"]):
-        assert np.array_equal(fast, slow)
+    centers, _, masks = assert_path_walks_match(
+        *walk_inputs(tensor, model), certify=True, record_masks=True
+    )
+    assert masks is None
+    assert centers.tolist() == [[1, 0], [2, 2]]
 
 
 def test_infeasible_datum_raises_the_oracles_error():
@@ -110,15 +114,15 @@ def test_infeasible_datum_raises_the_oracles_error():
     ])
     plan = FaultPlan(node_faults=(NodeFault(pid=1, start=1, end=2),))
     capacity = CapacityPlan.uniform(2, 1)
-    errors = []
-    for kernel in ("numpy", "python"):
-        with pytest.raises(CapacityError) as err:
-            reschedule_around_faults(
-                tensor, model, plan, capacity, certify=True, kernel=kernel
-            )
-        errors.append((err.value.code, str(err.value)))
-    assert errors[0] == errors[1]
-    assert "no feasible center path" in errors[0][1]
+    with pytest.raises(CapacityError) as err:
+        reschedule_around_faults(tensor, model, plan, capacity, certify=True)
+    walked = assert_path_walks_match(
+        *walk_inputs(tensor, model),
+        base=alive_window_mask(plan, tensor.n_windows, model.n_procs),
+        capacity=capacity,
+    )
+    assert walked == (CapacityError, err.value.code, str(err.value))
+    assert "no feasible center path" in str(err.value)
 
 
 def test_lomcds_idle_hold_eviction_runs_the_scalar_fallback():
@@ -130,20 +134,20 @@ def test_lomcds_idle_hold_eviction_runs_the_scalar_fallback():
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
     ])
     capacity = CapacityPlan.uniform(3, 1)
-    runs = {}
-    for kernel in ("numpy", "python"):
-        instr = Instrumentation.started(provenance=True)
-        sched = lomcds(tensor, model, capacity, kernel=kernel, instrument=instr)
-        runs[kernel] = (sched, instr)
-    (fast, fast_instr), (slow, slow_instr) = runs["numpy"], runs["python"]
-    assert fast.centers.tolist() == [[0, 2, 2], [2, 0, 0]]
-    assert counters(fast_instr) == {
+    instr = Instrumentation.started(provenance=True)
+    with recorded_derivations() as calls:
+        sched = lomcds(tensor, model, capacity, instrument=instr)
+    assert sched.centers.tolist() == [[0, 2, 2], [2, 0, 0]]
+    assert counters(instr) == {
         "lomcds.idle_holds": 2.0,
         "lomcds.idle_evictions": 1.0,
     }
-    assert np.array_equal(fast.centers, slow.centers)
-    assert counters(fast_instr) == counters(slow_instr)
-    (fast_log,), (slow_log,) = (
-        fast_instr.provenance.logs, slow_instr.provenance.logs
+    centers, holds, evicted, _, evictions = assert_lomcds_walks_match(
+        model.all_placement_costs(tensor),
+        tensor.counts.sum(axis=2) > 0,
+        tensor.data_priority_order(),
+        capacity,
     )
-    assert np.array_equal(fast_log.actions, slow_log.actions)
+    assert np.array_equal(sched.centers, centers)
+    assert (holds, evicted, evictions) == (2, 1, [(1, 1)])
+    assert_derivations_match(calls)

@@ -82,6 +82,13 @@ class TestVolumes:
         with pytest.raises(ValueError):
             CostModel(Mesh1D(3), volumes=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_volume_rejected(self, bad):
+        # NaN compares False against everything, so it once slipped past
+        # the positivity check and the schedulers returned pid 0 silently
+        with pytest.raises(ValueError, match="finite; datum 1"):
+            CostModel(Mesh1D(3), volumes=np.array([1.0, bad]))
+
     def test_volume_count_mismatch_caught(self, tiny_tensor, mesh23):
         model = CostModel(mesh23, volumes=np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):

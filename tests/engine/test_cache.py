@@ -84,17 +84,6 @@ def test_semantic_option_change_misses(small):
     assert plain != certified
 
 
-def test_kernel_option_does_not_change_key(small):
-    """Kernels are bit-identical by contract, so they share entries."""
-    tensor, model = small
-    assert solve_key(tensor, model, options={"kernel": "python"}) == solve_key(
-        tensor, model, options={"kernel": "numpy"}
-    )
-    assert solve_key(tensor, model, options={"kernel": "python"}) == solve_key(
-        tensor, model
-    )
-
-
 def test_non_serializable_option_raises(small):
     tensor, model = small
     with pytest.raises(TypeError, match="content-addressable"):

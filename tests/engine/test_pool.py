@@ -1,4 +1,4 @@
-"""``schedule_many``: determinism, dedup, caching, kernel defaults."""
+"""``schedule_many``: determinism, dedup, caching, request options."""
 
 import numpy as np
 import pytest
@@ -88,34 +88,17 @@ def test_cached_results_are_frozen():
     assert batch[0].centers.flags.writeable is False
 
 
-def test_batch_kernel_default_matches_per_request_kernel():
-    requests = _suite(benchmarks=(1,), algorithms=("GOMCDS", "SCDS"))
-    numpy_batch = schedule_many(requests, kernel="numpy")
-    python_batch = schedule_many(requests, kernel="python")
-    for a, b in zip(numpy_batch, python_batch):
-        assert np.array_equal(a.centers, b.centers)
-
-
-def test_request_kernel_wins_over_batch_default():
+def test_request_options_pass_through_as_given():
+    """Options reach :func:`repro.schedule` unchanged, so one the
+    algorithm does not support fails there, naming what it supports."""
     model = CostModel(TOPO)
     wl = make_benchmark(1, 8, TOPO, seed=1998)
     tensor = build_reference_tensor(wl.trace, wl.windows)
     request = ScheduleRequest(
-        tensor, model, algorithm="GOMCDS", options={"kernel": "python"}
+        tensor, model, algorithm="GOMCDS", options={"kernel": "numpy"}
     )
-    (sched,) = schedule_many([request], kernel="numpy")
-    direct = schedule(tensor, model, algorithm="GOMCDS", kernel="python")
-    assert np.array_equal(sched.centers, direct.centers)
-
-
-def test_batch_kernel_skips_unsupporting_algorithms():
-    """OMCDS takes no ``kernel=``; the batch default must not break it."""
-    model = CostModel(TOPO)
-    wl = make_benchmark(1, 8, TOPO, seed=1998)
-    tensor = build_reference_tensor(wl.trace, wl.windows)
-    request = ScheduleRequest(tensor, model, algorithm="OMCDS")
-    (sched,) = schedule_many([request], kernel="python")
-    assert sched.method == "OMCDS"
+    with pytest.raises(TypeError, match="kernel; supported: certify"):
+        schedule_many([request])
 
 
 def test_certify_option_rides_through():

@@ -1,13 +1,16 @@
 """Capacity-walk parity on *tight* constrained instances.
 
-The numpy kernel solves GOMCDS-family paths (SCDS's included, as the
-one-window case) speculatively in batches and walks LOMCDS one datum
-(not one cell) at a time; the python kernel keeps the per-datum scalar
-walks.  Under capacities of 1.0-1.5x the balanced minimum, with hot
-processors every datum competes for, the two must agree bit for bit:
-centers, certificates, provenance decision logs, walk counters, and the
-error raised when a datum cannot be placed.  GOMCDS and both fault
-reschedulers also draw no capacity at all, where only liveness masks.
+GOMCDS-family paths (SCDS's included, as the one-window case) are solved
+speculatively in batches (``_batched_walk``) and LOMCDS walks one datum
+(not one cell) at a time (``_capacity_walk``); their scalar test
+references walk datum by datum and cell by cell.  Under capacities of
+1.0-1.5x the balanced minimum, with hot processors every datum competes
+for, each walk must agree with its reference bit for bit on the same
+inputs: centers, certificate potentials, recorded masks, LOMCDS holds
+and evictions, and the error raised when a datum cannot be placed.  The
+GOMCDS walk also runs with no capacity at all, under random admissible
+masks and with pinned first-window costs (the reschedulers' inputs), and
+each scheduler's decision log equals the scalar derivation's.
 """
 
 import sys
@@ -29,19 +32,22 @@ from repro.core import (
     scds,
     shortest_center_path,
 )
-from repro.core.kernels import KERNELS, shortest_center_path_python
-from repro.faults import FaultPlan, NodeFault
+from repro.core.kernels import merged_totals_python, shortest_center_path_python
+from repro.faults import FaultPlan, NodeFault, alive_window_mask
 from repro.grid import Mesh2D
 from repro.mem import CapacityError, CapacityPlan
 from repro.obs import Instrumentation
 from repro.trace import build_reference_tensor
 from repro.workloads import trace_from_counts
+from tests.reference_pairs import (
+    assert_derivations_match,
+    assert_lomcds_walks_match,
+    assert_path_walks_match,
+    recorded_derivations,
+)
 
 TOPO = Mesh2D(2, 3)
-LOG_FIELDS = (
-    "centers", "actions", "ref_costs", "move_hops", "volumes",
-    "n_candidates", "runner_up", "runner_up_delta", "tie", "forced",
-)
+DIST = CostModel(TOPO).distances.astype(np.float64)
 
 
 @st.composite
@@ -75,42 +81,29 @@ def fault_plans(draw, n_windows):
     return FaultPlan(node_faults=(NodeFault(pid=pid, start=start, end=end),))
 
 
-def _run(solve, **kwargs):
-    """Solve on each kernel: ``kernel -> (schedule | error, instrument)``."""
-    out = {}
-    for kernel in KERNELS:
-        instr = Instrumentation.started(provenance=True)
+def _inputs(tensor):
+    """The walks' shared inputs: costs, volumes and priority order."""
+    model = CostModel(TOPO)
+    return (
+        model.all_placement_costs(tensor),
+        model.volume_vector(tensor.n_data),
+        tensor.data_priority_order(),
+    )
+
+
+def _assert_logged_solve_matches(solve, walked):
+    """Run ``solve`` with provenance on: its decision logs equal the
+    scalar derivation's, and its centers are the walk's (or it raises the
+    walk's error)."""
+    instr = Instrumentation.started(provenance=True)
+    with recorded_derivations() as calls:
         try:
-            result = solve(kernel=kernel, instrument=instr, **kwargs)
+            solved = solve(instr)
         except CapacityError as err:
-            result = (err.code, str(err))
-        out[kernel] = (result, instr)
-    return out
-
-
-def _assert_parity(out, counters=()):
-    (fast, fast_instr), (slow, slow_instr) = out["numpy"], out["python"]
-    if isinstance(slow, tuple):  # the oracle raised: same code and message
-        assert fast == slow
-        return
-    assert np.array_equal(fast.centers, slow.centers)
-    fast_cert = fast.meta.get("certificate")
-    slow_cert = slow.meta.get("certificate")
-    assert (fast_cert is None) == (slow_cert is None)
-    if fast_cert is not None:
-        for key in ("potentials", "totals", "masks"):
-            assert np.array_equal(fast_cert[key], slow_cert[key]), key
-    (fast_log,) = fast_instr.provenance.logs
-    (slow_log,) = slow_instr.provenance.logs
-    for name in LOG_FIELDS:
-        assert np.array_equal(
-            getattr(fast_log, name), getattr(slow_log, name)
-        ), name
-    for name in counters:
-        assert (
-            fast_instr.metrics.counters[name].value
-            == slow_instr.metrics.counters[name].value
-        ), name
+            assert walked == (CapacityError, err.code, str(err))
+            return None
+    assert_derivations_match(calls)
+    return solved
 
 
 @given(tight_instances(), st.booleans())
@@ -118,25 +111,44 @@ def _assert_parity(out, counters=()):
 def test_gomcds_kernels_agree_under_tight_capacity(instance, capped):
     tensor, capacity = instance
     capacity = capacity if capped else None
-    out = _run(
-        lambda **kw: schedule(
-            tensor, CostModel(TOPO), algorithm="GOMCDS", capacity=capacity,
-            certify=True, **kw,
-        )
+    costs, vols, order = _inputs(tensor)
+    walked = assert_path_walks_match(
+        costs, DIST, vols, order, capacity=capacity
     )
-    _assert_parity(out)
+    solved = _assert_logged_solve_matches(
+        lambda instr: schedule(
+            tensor, CostModel(TOPO), algorithm="GOMCDS", capacity=capacity,
+            certify=True, instrument=instr,
+        ),
+        walked,
+    )
+    if solved is not None:
+        assert np.array_equal(solved.centers, walked[0])
+        certificate = solved.meta["certificate"]
+        assert np.array_equal(certificate["potentials"], walked[1])
+        assert np.array_equal(certificate["masks"], walked[2])
 
 
 @given(tight_instances())
 @settings(max_examples=60, deadline=None)
 def test_scds_kernels_agree_under_tight_capacity(instance):
     tensor, capacity = instance
-    out = _run(
-        lambda **kw: schedule(
-            tensor, CostModel(TOPO), algorithm="SCDS", capacity=capacity, **kw
-        )
+    costs, vols, order = _inputs(tensor)
+    totals = costs.sum(axis=1)
+    assert np.array_equal(totals, merged_totals_python(costs))
+    walked = assert_path_walks_match(
+        totals[:, None, :], DIST, vols, order, capacity=capacity,
+        certify=False,
     )
-    _assert_parity(out, ("scheduler.capacity_fallbacks",))
+    solved = _assert_logged_solve_matches(
+        lambda instr: schedule(
+            tensor, CostModel(TOPO), algorithm="SCDS", capacity=capacity,
+            instrument=instr,
+        ),
+        walked,
+    )
+    if solved is not None:
+        assert np.array_equal(solved.centers[:, :1], walked[0])
 
 
 #: name -> (n_data, n_windows) of the one-window walk's boundary inputs,
@@ -147,11 +159,7 @@ BOUNDARIES = {
     "exactly full": (TOPO.n_procs, 3),
     "one datum over": (TOPO.n_procs + 1, 2),
 }
-FIRST_FIT = {
-    "SCDS-numpy": lambda t, m, c: scds(t, m, c, kernel="numpy"),
-    "SCDS-python": lambda t, m, c: scds(t, m, c, kernel="python"),
-    "OMCDS": omcds,
-}
+FIRST_FIT = {"SCDS": scds, "OMCDS": omcds}
 
 
 @pytest.mark.parametrize("case", BOUNDARIES)
@@ -182,45 +190,84 @@ def test_first_fit_boundaries_schedule_or_raise_a_coded_error(case, solver):
 @settings(max_examples=60, deadline=None)
 def test_lomcds_kernels_agree_under_tight_capacity(instance):
     tensor, capacity = instance
-    out = _run(
-        lambda **kw: schedule(
+    costs, _, order = _inputs(tensor)
+    referenced = tensor.counts.sum(axis=2) > 0
+    walked = assert_lomcds_walks_match(costs, referenced, order, capacity)
+    solved = _assert_logged_solve_matches(
+        lambda instr: schedule(
             tensor, CostModel(TOPO), algorithm="LOMCDS", capacity=capacity,
-            **kw,
-        )
+            instrument=instr,
+        ),
+        walked,
     )
-    _assert_parity(out, ("lomcds.idle_holds", "lomcds.idle_evictions"))
+    assert np.array_equal(solved.centers, walked[0])
 
 
 @given(st.data(), tight_instances())
 @settings(max_examples=60, deadline=None)
 def test_fault_rescheduler_kernels_agree(data, instance):
+    """Random admissible masks, and the rescheduler on a fault plan's."""
     tensor, capacity = instance
     capacity = capacity if data.draw(st.booleans()) else None
-    plan = data.draw(fault_plans(tensor.n_windows))
-    out = _run(
-        lambda **kw: reschedule_around_faults(
-            tensor, CostModel(TOPO), plan, capacity, certify=True, **kw
-        )
+    costs, vols, order = _inputs(tensor)
+    base = data.draw(arrays(np.bool_, costs.shape[1:]))
+    assert_path_walks_match(
+        costs, DIST, vols, order, base=base, capacity=capacity
     )
-    _assert_parity(out)
+    plan = data.draw(fault_plans(tensor.n_windows))
+    alive = alive_window_mask(plan, tensor.n_windows, TOPO.n_procs)
+    walked = assert_path_walks_match(
+        costs, DIST, vols, order, base=alive, capacity=capacity
+    )
+    solved = _assert_logged_solve_matches(
+        lambda instr: reschedule_around_faults(
+            tensor, CostModel(TOPO), plan, capacity, certify=True,
+            instrument=instr,
+        ),
+        walked,
+    )
+    if solved is not None:
+        assert np.array_equal(solved.centers, walked[0])
+        assert np.array_equal(
+            solved.meta["certificate"]["potentials"], walked[1]
+        )
 
 
 @given(st.data(), tight_instances())
 @settings(max_examples=60, deadline=None)
 def test_recovery_rescheduler_kernels_agree(data, instance):
+    """The suffix walk with first-window costs pinned to a residency."""
     tensor, capacity = instance
     capacity = capacity if data.draw(st.booleans()) else None
     model = CostModel(TOPO)
     plan = data.draw(fault_plans(tensor.n_windows))
     from_window = data.draw(st.integers(0, tensor.n_windows - 1))
-    base = gomcds(tensor, model, capacity)
-    out = _run(
-        lambda **kw: reschedule_from_window(
-            base, tensor, model, plan, from_window, capacity=capacity,
-            certify=True, **kw,
+    pin = data.draw(
+        arrays(
+            np.int64, (tensor.n_data,),
+            elements=st.integers(0, TOPO.n_procs - 1),
         )
     )
-    _assert_parity(out)
+    full_costs, vols, order = _inputs(tensor)
+    costs = full_costs[:, from_window:].copy()
+    costs[:, 0] += vols[:, None] * DIST[pin]
+    alive = alive_window_mask(plan, tensor.n_windows, TOPO.n_procs)
+    walked = assert_path_walks_match(
+        costs, DIST, vols, order, base=alive[from_window:], capacity=capacity
+    )
+    base = gomcds(tensor, model, capacity)
+    solved = _assert_logged_solve_matches(
+        lambda instr: reschedule_from_window(
+            base, tensor, model, plan, from_window, placement=pin,
+            capacity=capacity, certify=True, instrument=instr,
+        ),
+        walked,
+    )
+    if solved is not None:
+        assert np.array_equal(solved.centers[:, from_window:], walked[0])
+        assert np.array_equal(
+            solved.meta["certificate"]["potentials"], walked[1]
+        )
 
 
 @st.composite

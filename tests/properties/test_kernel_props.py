@@ -1,5 +1,6 @@
-"""Kernel parity: the numpy fast path is bit-identical to the scalar
-python reference oracle, on random instances and the paper benchmarks."""
+"""Layer parity: each vectorized solver layer is bit-identical to its
+scalar test reference on the same inputs, on random instances and the
+paper benchmarks, and each scheduler returns what its layers computed."""
 
 import itertools
 
@@ -12,19 +13,22 @@ from hypothesis.extra.numpy import arrays
 from repro import schedule
 from repro.core import CostModel
 from repro.core.kernels import (
-    KERNELS,
-    hold_position_numpy,
     hold_position_python,
+    local_argmin_python,
     merged_totals_python,
     placement_cost_tensor_python,
-    resolve_kernel,
     shortest_center_path_python,
 )
-from repro.core.gomcds import shortest_center_path
+from repro.core.gomcds import _l1_grid, shortest_center_path
+from repro.core.lomcds import _hold_position
 from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
 from repro.trace import build_reference_tensor
 from repro.workloads import benchmark as make_benchmark, trace_from_counts
+from tests.reference_pairs import (
+    assert_lomcds_walks_match,
+    assert_path_walks_match,
+)
 
 TOPO = Mesh2D(2, 3)
 ALGORITHMS = ("SCDS", "LOMCDS", "GOMCDS")
@@ -45,29 +49,64 @@ def instances(draw, max_data=4, max_windows=5):
     return build_reference_tensor(trace, windows)
 
 
+def assert_layers_match(name, tensor, model, capacity=None):
+    """Run ``name``'s forked layers beside their scalar references on the
+    instance's inputs, then check the scheduler returns the layers'
+    centers (and, for GOMCDS, certificate)."""
+    costs = model.all_placement_costs(tensor)
+    assert np.array_equal(costs, placement_cost_tensor_python(tensor, model))
+    dist = model.distances.astype(np.float64)
+    vols = model.volume_vector(tensor.n_data)
+    order = tensor.data_priority_order()
+    if name == "SCDS":
+        totals = costs.sum(axis=1)
+        assert np.array_equal(totals, merged_totals_python(costs))
+        if capacity is None:
+            centers = totals.argmin(axis=1)[:, None]
+        else:
+            centers, _, _ = assert_path_walks_match(
+                totals[:, None, :], dist, vols, order, capacity=capacity
+            )
+        expected = np.repeat(centers, tensor.n_windows, axis=1)
+    elif name == "LOMCDS":
+        referenced = tensor.counts.sum(axis=2) > 0
+        if capacity is None:
+            expected = costs.argmin(axis=2)
+            assert np.array_equal(expected, local_argmin_python(costs))
+            held = expected.copy()
+            _hold_position(expected, referenced)
+            hold_position_python(held, referenced)
+            assert np.array_equal(expected, held)
+        else:
+            expected, *_ = assert_lomcds_walks_match(
+                costs, referenced, order, capacity
+            )
+    else:
+        grid = _l1_grid(tensor, model, vols, tensor.n_windows)
+        expected, potentials, _ = assert_path_walks_match(
+            costs, dist, vols, order, capacity=capacity, grid=grid
+        )
+        certified = schedule(tensor, model, capacity=capacity, certify=True)
+        assert np.array_equal(
+            certified.meta["certificate"]["potentials"], potentials
+        )
+    solved = schedule(tensor, model, algorithm=name, capacity=capacity)
+    assert np.array_equal(solved.centers, expected)
+
+
 @given(instances())
 @settings(max_examples=60, deadline=None)
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_kernels_bit_identical_unconstrained(name, tensor):
-    model = CostModel(TOPO)
-    fast = schedule(tensor, model, algorithm=name, kernel="numpy")
-    slow = schedule(tensor, model, algorithm=name, kernel="python")
-    assert np.array_equal(fast.centers, slow.centers)
+    assert_layers_match(name, tensor, CostModel(TOPO))
 
 
 @given(instances())
 @settings(max_examples=40, deadline=None)
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_kernels_bit_identical_constrained(name, tensor):
-    model = CostModel(TOPO)
     capacity = CapacityPlan.paper_rule(tensor.n_data, TOPO.n_procs)
-    fast = schedule(
-        tensor, model, algorithm=name, capacity=capacity, kernel="numpy"
-    )
-    slow = schedule(
-        tensor, model, algorithm=name, capacity=capacity, kernel="python"
-    )
-    assert np.array_equal(fast.centers, slow.centers)
+    assert_layers_match(name, tensor, CostModel(TOPO), capacity)
 
 
 @given(instances())
@@ -85,17 +124,19 @@ def test_placement_cost_tensor_matches_numpy(tensor):
 @given(instances())
 @settings(max_examples=40, deadline=None)
 def test_certificates_bit_identical(tensor):
+    """The certified walk's potentials equal the scalar DP's, and the
+    certificate's totals are their last-window minima."""
     model = CostModel(TOPO)
-    fast = schedule(tensor, model, certify=True, kernel="numpy")
-    slow = schedule(tensor, model, certify=True, kernel="python")
-    assert np.array_equal(fast.centers, slow.centers)
-    assert np.array_equal(
-        fast.meta["certificate"]["potentials"],
-        slow.meta["certificate"]["potentials"],
+    _, potentials, _ = assert_path_walks_match(
+        model.all_placement_costs(tensor),
+        model.distances.astype(np.float64),
+        model.volume_vector(tensor.n_data),
+        tensor.data_priority_order(),
     )
+    certificate = schedule(tensor, model, certify=True).meta["certificate"]
+    assert np.array_equal(certificate["potentials"], potentials)
     assert np.array_equal(
-        fast.meta["certificate"]["totals"],
-        slow.meta["certificate"]["totals"],
+        certificate["totals"], potentials[:, -1, :].min(axis=1)
     )
 
 
@@ -154,32 +195,17 @@ def test_hold_position_matches(centers, referenced):
     a = centers.copy()
     b = centers.copy()
     hold_position_python(a, referenced)
-    hold_position_numpy(b, referenced)
+    _hold_position(b, referenced)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bench", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_paper_benchmarks_bit_identical(bench, name):
-    """Acceptance gate: kernels agree on benchmarks 1-5 (constrained)."""
+    """Acceptance gate: every layer agrees with its reference on
+    benchmarks 1-5 under the paper's capacity rule."""
     topo = Mesh2D(4, 4)
     wl = make_benchmark(bench, 8, topo, seed=1998)
     tensor = build_reference_tensor(wl.trace, wl.windows)
-    model = CostModel(topo)
     capacity = CapacityPlan.paper_rule(wl.n_data, topo.n_procs)
-    fast = schedule(
-        tensor, model, algorithm=name, capacity=capacity, kernel="numpy"
-    )
-    slow = schedule(
-        tensor, model, algorithm=name, capacity=capacity, kernel="python"
-    )
-    assert np.array_equal(fast.centers, slow.centers)
-
-
-def test_resolve_kernel_contract():
-    assert resolve_kernel(None) == "numpy"
-    assert resolve_kernel("NumPy") == "numpy"
-    assert resolve_kernel("python") == "python"
-    assert set(KERNELS) == {"numpy", "python"}
-    with pytest.raises(ValueError, match="python"):
-        resolve_kernel("fortran")
+    assert_layers_match(name, tensor, CostModel(topo), capacity)

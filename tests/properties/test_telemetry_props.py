@@ -80,7 +80,7 @@ def test_solve_key_excludes_the_instrument(requests):
         request.model,
         request.capacity,
         request.algorithm,
-        {"instrument": object(), "kernel": "python"},
+        {"instrument": object()},
     )
     without = solve_key(
         request.tensor, request.model, request.capacity, request.algorithm

@@ -143,18 +143,12 @@ def test_results_interchangeable_in_exporters(lu8, lu8_tensor, model44):
     assert kinds == ["cost_breakdown", "sim_report", "lint_report"]
 
 
-# --- facade options: certify= / kernel= / kwarg validation ------------------
+# --- facade options: certify= / kwarg validation ----------------------------
 
 
 def test_facade_certify_flag_attaches_certificate(lu8_tensor, model44):
     sched = schedule(lu8_tensor, model44, certify=True)
     assert sched.meta["certificate"]["kind"] == "gomcds-potentials"
-
-
-def test_facade_kernel_flag_is_bit_identical(lu8_tensor, model44):
-    fast = schedule(lu8_tensor, model44, kernel="numpy")
-    slow = schedule(lu8_tensor, model44, kernel="python")
-    assert np.array_equal(fast.centers, slow.centers)
 
 
 def test_facade_rejects_unsupported_kwargs(lu8_tensor, model44):
@@ -165,12 +159,14 @@ def test_facade_rejects_unsupported_kwargs(lu8_tensor, model44):
 
 
 def test_facade_rejects_unknown_kernel(lu8_tensor, model44):
-    with pytest.raises(ValueError, match="python"):
-        schedule(lu8_tensor, model44, kernel="fortran")
+    """The solvers run one path: ``kernel=`` is an unsupported option."""
+    with pytest.raises(TypeError, match="kernel; supported: certify"):
+        schedule(lu8_tensor, model44, kernel="numpy")
 
 
 def test_spec_reports_supported_kwargs():
-    assert SCHEDULER_SPECS["GOMCDS"].supported_kwargs == ("certify", "kernel")
+    assert SCHEDULER_SPECS["GOMCDS"].supported_kwargs == ("certify",)
+    assert SCHEDULER_SPECS["SCDS"].supported_kwargs == ()
     assert SCHEDULER_SPECS["OMCDS"].supported_kwargs == ("hysteresis",)
     for name, spec in SCHEDULER_SPECS.items():
         assert spec.to_dict()["supported_kwargs"] == list(
