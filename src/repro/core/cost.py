@@ -14,6 +14,7 @@ its integer sums are exact in any order while they stay below 2**53.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,38 @@ from ..grid import Topology, cached_distance_matrix
 from ..trace import ReferenceTensor
 
 __all__ = ["CostModel"]
+
+#: data per block of the cost-tensor build
+_BUILD_BLOCK = 64
+
+#: ``(model ref, tensor ref, costs)`` of the last cost tensor built; kept
+#: at module level so pickling a model never carries it.
+_memo: tuple[weakref.ref, weakref.ref, np.ndarray] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the memo once its model or tensor is collected."""
+    global _memo
+    if _memo is not None and (ref is _memo[0] or ref is _memo[1]):
+        _memo = None
+
+
+def _build_placement_costs(model: "CostModel", tensor: ReferenceTensor) -> np.ndarray:
+    """``C_d = volume(d) * (R_d @ Dist)`` for every datum, freshly built.
+
+    The matmul runs over blocks of :data:`_BUILD_BLOCK` data, so its
+    float64 copy of the counts stays a block, not a second tensor.
+    """
+    if tensor.n_procs != model.n_procs:
+        raise ValueError("reference tensor does not match the processor array")
+    vols = model.volume_vector(tensor.n_data)
+    dist = model.distances.astype(np.float64)
+    costs = np.empty(tensor.counts.shape)
+    for start in range(0, tensor.n_data, _BUILD_BLOCK):
+        block = slice(start, start + _BUILD_BLOCK)
+        np.matmul(tensor.counts[block].astype(np.float64), dist, out=costs[block])
+    costs *= vols[:, None, None]
+    return costs
 
 
 @dataclass(frozen=True)
@@ -33,9 +66,10 @@ class CostModel:
     topology:
         Processor array defining the hop metric.
     volumes:
-        Optional ``(n_data,)`` positive, finite transfer volumes; the paper's
-        model ("each data transfer takes one time unit") is the default
-        all-ones vector, represented as ``None``.
+        Optional ``(n_data,)`` positive, finite transfer volumes, stored
+        read-only as float64; the paper's model ("each data transfer
+        takes one time unit") is the default all-ones vector, represented
+        as ``None``.
     """
 
     topology: Topology
@@ -54,6 +88,7 @@ class CostModel:
                     f"volumes must be positive and finite; datum {d} has "
                     f"{float(vols[d])}"
                 )
+            vols.flags.writeable = False
             object.__setattr__(self, "volumes", vols)
 
     @property
@@ -86,37 +121,25 @@ class CostModel:
             )
         return self.volumes
 
-    def placement_costs(self, ref_counts: np.ndarray, d: int | None = None) -> np.ndarray:
-        """Cost of every candidate center for one datum.
-
-        Parameters
-        ----------
-        ref_counts:
-            ``(n_windows, n_procs)`` reference-count matrix of the datum.
-        d:
-            Datum id, used only to look up its volume (ignored when the
-            model is unit-volume).
-
-        Returns
-        -------
-        ``(n_windows, n_procs)`` float array: entry ``(w, c)`` is the total
-        reference cost of window ``w`` if the datum sits at processor ``c``.
-        """
-        counts = np.asarray(ref_counts)
-        if counts.ndim == 1:
-            counts = counts[None, :]
-        if counts.shape[-1] != self.n_procs:
-            raise ValueError("reference counts do not match the processor array")
-        costs = counts.astype(np.float64) @ self.distances.astype(np.float64)
-        vol = 1.0 if (self.volumes is None or d is None) else self.volume(d)
-        return costs * vol
-
     def all_placement_costs(self, tensor: ReferenceTensor) -> np.ndarray:
-        """``(n_data, n_windows, n_procs)`` cost tensor ``C`` for all data."""
-        if tensor.n_procs != self.n_procs:
-            raise ValueError("reference tensor does not match the processor array")
-        costs = tensor.counts.astype(np.float64) @ self.distances.astype(np.float64)
-        costs *= self.volume_vector(tensor.n_data)[:, None, None]
+        """Read-only ``(n_data, n_windows, n_procs)`` cost tensor ``C``.
+
+        Memoized for the last ``(model, tensor)`` pair by identity, so the
+        solver, evaluator, certifier and linter of one instance share one
+        build.  Both inputs are immutable (read-only counts and volumes,
+        frozen dataclasses), so a matching pair always means the same
+        values.
+        """
+        global _memo
+        memo = _memo  # one read: a collected input's callback may clear it
+        if memo is not None:
+            model_ref, tensor_ref, costs = memo
+            if model_ref() is self and tensor_ref() is tensor:
+                return costs
+        _memo = None  # never hold two tensors at once
+        costs = _build_placement_costs(self, tensor)
+        costs.flags.writeable = False
+        _memo = (weakref.ref(self, _forget), weakref.ref(tensor, _forget), costs)
         return costs
 
     def movement_cost(self, d: int, src: int, dst: int) -> float:

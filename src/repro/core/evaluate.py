@@ -23,9 +23,7 @@ from .schedule import Schedule
 
 __all__ = [
     "CostBreakdown",
-    "evaluate_placement_costs",
     "evaluate_schedule",
-    "gather_per_datum_costs",
     "per_datum_costs",
 ]
 
@@ -77,14 +75,14 @@ class CostBreakdown:
 
 
 def _check_compatible(schedule: Schedule, tensor: ReferenceTensor, model: CostModel) -> None:
+    """Raise ``ValueError`` naming the first shape mismatch between a
+    schedule, its reference tensor and the cost model."""
     if schedule.n_data != tensor.n_data:
         raise ValueError("schedule and reference tensor disagree on n_data")
     if schedule.n_windows != tensor.n_windows:
         raise ValueError("schedule and reference tensor disagree on windows")
     if tensor.n_procs != model.n_procs:
         raise ValueError("reference tensor does not match the cost model's array")
-    if schedule.centers.size and schedule.centers.max() >= model.n_procs:
-        raise ValueError("schedule places data outside the processor array")
 
 
 def per_datum_costs(
@@ -97,22 +95,12 @@ def per_datum_costs(
     movement cost sums metric distances between consecutive centers.
     """
     _check_compatible(schedule, tensor, model)
-    if schedule.n_data == 0:
-        return np.zeros(0), np.zeros(0)
-    return gather_per_datum_costs(
-        schedule, model.all_placement_costs(tensor), model
-    )
-
-
-def gather_per_datum_costs(
-    schedule: Schedule, cost_tensor: np.ndarray, model: CostModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`per_datum_costs` over a prebuilt ``(D, W, m)`` cost tensor.
-
-    For callers that already hold ``model.all_placement_costs(tensor)``
-    for a schedule-compatible tensor; the result is bit-identical.
-    """
+    if schedule.centers.size and schedule.centers.max() >= model.n_procs:
+        raise ValueError("schedule places data outside the processor array")
     n_data, n_windows = schedule.n_data, schedule.n_windows
+    if n_data == 0:
+        return np.zeros(0), np.zeros(0)
+    cost_tensor = model.all_placement_costs(tensor)
     d_idx = np.arange(n_data)[:, None]
     w_idx = np.arange(n_windows)[None, :]
     ref = cost_tensor[d_idx, w_idx, schedule.centers].sum(axis=1)
@@ -130,17 +118,5 @@ def evaluate_schedule(
     schedule: Schedule, tensor: ReferenceTensor, model: CostModel
 ) -> CostBreakdown:
     """Total communication cost of ``schedule`` on ``tensor``."""
-    _check_compatible(schedule, tensor, model)
-    if schedule.n_data == 0:
-        return CostBreakdown(0.0, 0.0)
-    return evaluate_placement_costs(
-        schedule, model.all_placement_costs(tensor), model
-    )
-
-
-def evaluate_placement_costs(
-    schedule: Schedule, cost_tensor: np.ndarray, model: CostModel
-) -> CostBreakdown:
-    """:func:`evaluate_schedule` over a prebuilt ``(D, W, m)`` cost tensor."""
-    ref, move = gather_per_datum_costs(schedule, cost_tensor, model)
+    ref, move = per_datum_costs(schedule, tensor, model)
     return CostBreakdown(float(ref.sum()), float(move.sum()))

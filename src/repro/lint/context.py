@@ -3,7 +3,7 @@
 A :class:`LintContext` carries whichever of the core artifacts the caller
 has — schedule, trace, window set, fault plan, topology, capacity — and
 derives the rest lazily (the reference tensor from trace + windows, the
-cost model from the topology, the placement-cost tensor from both).
+cost model from the topology).
 Rules declare which artifacts they need; the engine skips rules whose
 inputs are absent, so the same registry lints a bare fault plan, a
 schedule file, or a fully instantiated named workload.
@@ -12,8 +12,6 @@ schedule file, or a fully instantiated named workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..core.cost import CostModel
 from ..core.schedule import Schedule
@@ -42,7 +40,6 @@ class LintContext:
     #: carries one; ``None`` means "no replicas" for FLT008
     replicas: object | None = None
     _tensor: ReferenceTensor | None = field(default=None, repr=False)
-    _costs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.windows is None and self.schedule is not None:
@@ -82,16 +79,3 @@ class LintContext:
             if windows is not None and windows.n_steps == self.trace.n_steps:
                 self._tensor = build_reference_tensor(self.trace, windows)
         return self._tensor
-
-    @property
-    def placement_costs(self) -> np.ndarray | None:
-        """The ``(D, W, m)`` placement-cost tensor of :attr:`tensor`.
-
-        Built once per context and shared by every rule that reads it;
-        ``None`` without a tensor or a cost model.
-        """
-        if self._costs is None and self.model is not None:
-            tensor = self.tensor
-            if tensor is not None:
-                self._costs = self.model.all_placement_costs(tensor)
-        return self._costs

@@ -52,7 +52,7 @@ def _graph_path_cost(window_costs, move_costs, centers) -> float:
 )
 def check_costgraph_agreement(context):
     """The analytic evaluator disagrees with the cost-graph formulation."""
-    from ..core.evaluate import gather_per_datum_costs
+    from ..core.evaluate import per_datum_costs
 
     tensor = context.tensor
     if tensor is None:
@@ -63,8 +63,8 @@ def check_costgraph_agreement(context):
         return  # SCH004 owns the mismatch
     if schedule.centers.size and schedule.centers.max() >= model.n_procs:
         return  # SCH001 owns out-of-range centers
-    costs = context.placement_costs
-    ref, move = gather_per_datum_costs(schedule, costs, model)
+    costs = model.all_placement_costs(tensor)
+    ref, move = per_datum_costs(schedule, tensor, model)
     analytic = ref + move
 
     n_data, n_windows = schedule.n_data, schedule.n_windows
@@ -101,7 +101,7 @@ def check_costgraph_agreement(context):
 )
 def check_meta_cost(context):
     """A cost recorded by the producer disagrees with re-evaluation."""
-    from ..core.evaluate import evaluate_placement_costs
+    from ..core.evaluate import evaluate_schedule
 
     schedule = context.schedule
     recorded = None
@@ -118,9 +118,7 @@ def check_meta_cost(context):
         return
     if schedule.centers.size and schedule.centers.max() >= context.model.n_procs:
         return
-    actual = evaluate_placement_costs(
-        schedule, context.placement_costs, context.model
-    ).total
+    actual = evaluate_schedule(schedule, tensor, context.model).total
     if abs(actual - recorded) > _TOL * max(1.0, abs(actual)):
         yield Diagnostic(
             code=CST002,

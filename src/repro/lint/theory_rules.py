@@ -49,7 +49,7 @@ def check_one_step_optimality(context):
         return  # SCH001 owns out-of-range centers
 
     n_data, n_windows = schedule.n_data, schedule.n_windows
-    costs = context.placement_costs  # (D, W, m)
+    costs = model.all_placement_costs(tensor)  # (D, W, m)
     dist = model.distances.astype(np.float64)
     vols = model.volume_vector(n_data)
 
@@ -107,7 +107,7 @@ def check_separable_convexity(context):
     tensor = context.tensor
     if tensor is None:
         return
-    costs = context.placement_costs  # (D, W, m)
+    costs = context.model.all_placement_costs(tensor)  # (D, W, m)
     n_data, n_windows = costs.shape[0], costs.shape[1]
     rows = [(d, w) for d in range(n_data) for w in range(n_windows)]
     if len(rows) > _THY002_SAMPLE:

@@ -32,7 +32,8 @@ class ReferenceTensor:
     Attributes
     ----------
     counts:
-        ``(n_data, n_windows, n_procs)`` int64 array.
+        ``(n_data, n_windows, n_procs)`` int64 array, made read-only in
+        place (not copied) so cost tensors built from it stay valid.
     windows:
         The :class:`WindowSet` the window axis refers to.
     """
@@ -47,6 +48,7 @@ class ReferenceTensor:
             raise ValueError("window axis does not match the WindowSet")
         if len(self.counts) and self.counts.min() < 0:
             raise ValueError("reference counts must be non-negative")
+        self.counts.flags.writeable = False
 
     @property
     def n_data(self) -> int:

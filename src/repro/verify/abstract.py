@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.evaluate import _check_compatible
 from ..diagnostics import VER001, VER002, VER003, VER004, Diagnostic, Severity
 from ..faults import FaultInjector, FaultPlan, RetryPolicy, plan_evacuation
 from ..grid import Link, XYRouter, link_key, mesh_links
@@ -162,7 +163,11 @@ def interpret_schedule(
       configured budget (or ``hotspot_factor``× the all-wires mean);
     * ``VER004`` — dead data movement: a relocation serving no reference
       that is *strictly* costlier than bypassing the stop.
+
+    Raises ``ValueError`` when ``tensor`` does not fit the schedule or
+    the model.
     """
+    _check_compatible(schedule, tensor, model)
     diagnostics: list[Diagnostic] = []
     n_procs = model.n_procs
     centers = schedule.centers

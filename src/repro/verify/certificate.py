@@ -31,11 +31,10 @@ the SCDS/LOMCDS heuristics) assume — worth a warning.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from ..core import CostModel
+from ..core.evaluate import _check_compatible
 from ..diagnostics import VER005, VER006, VER007, VER011, Diagnostic, Severity
 from ..faults import FaultPlan, alive_window_mask
 from ..theory import is_separable_convex
@@ -84,29 +83,10 @@ def check_certificate(
     (claimed total wrong, schedule outside its admissible region, or
     path cost above the certified lower bound), and ``VER011`` for
     theory cross-check warnings.  An empty list means every datum's
-    center path is proven optimal.
+    center path is proven optimal.  Raises ``ValueError`` when
+    ``tensor`` does not fit the schedule or the model.
     """
-    return _check_certificate(
-        schedule,
-        lambda: model.all_placement_costs(tensor),
-        model,
-        faults,
-        require=require,
-        check_theory=check_theory,
-    )
-
-
-def _check_certificate(
-    schedule,
-    placement_costs: Callable[[], np.ndarray],
-    model: CostModel,
-    faults: FaultPlan | None,
-    *,
-    require: bool,
-    check_theory: bool,
-) -> list[Diagnostic]:
-    """:func:`check_certificate` with the ``(D, W, m)`` cost tensor behind
-    ``placement_costs()``, called only when a certificate needs it."""
+    _check_compatible(schedule, tensor, model)
     cert = certificate_of(schedule)
     if cert is None:
         raw = schedule.meta.get("certificate") if schedule.meta else None
@@ -183,8 +163,8 @@ def _check_certificate(
                 "reschedule_around_faults(..., certify=True)",
             )
 
-    # -- rebuild the cost tensor independently of the solver ----------------
-    full_costs = placement_costs()  # (D, W, m)
+    # -- the model's read-only cost tensor; pins and masks go on a copy -----
+    full_costs = model.all_placement_costs(tensor)  # (D, W, m)
     costs = full_costs[:, from_window:, :].astype(np.float64, copy=True)
     dist = model.distances.astype(np.float64)
     vols = model.volume_vector(n_data)

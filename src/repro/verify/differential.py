@@ -23,12 +23,9 @@ means one of them is wrong.  This module steps a bare
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..core import CostModel
-from ..core.evaluate import evaluate_placement_costs
+from ..core import CostModel, evaluate_schedule
 from ..diagnostics import VER008, VER009, VER010, Diagnostic, Severity
 from ..faults import FaultPlan, RetryPolicy
 from ..grid import link_key
@@ -66,24 +63,6 @@ def run_differential(
     transient occupancy an execution artifact the interpreter cannot
     (and should not) model.
     """
-    return _run_differential(
-        schedule, trace, lambda: model.all_placement_costs(tensor), model,
-        prediction, capacity, faults, retry,
-    )
-
-
-def _run_differential(
-    schedule,
-    trace: Trace,
-    placement_costs: Callable[[], np.ndarray],
-    model: CostModel,
-    prediction: StaticPrediction,
-    capacity: CapacityPlan | None,
-    faults: FaultPlan | None,
-    retry: RetryPolicy | None,
-) -> tuple[list[Diagnostic], dict]:
-    """:func:`run_differential` with the ``(D, W, m)`` cost tensor behind
-    ``placement_costs()``, called only by the fault-free evaluator."""
     diagnostics: list[Diagnostic] = []
     faulted = faults is not None and not faults.is_empty
 
@@ -105,8 +84,8 @@ def _run_differential(
         "static": prediction.to_dict(),
     }
 
-    _compare_costs(prediction, report, schedule, placement_costs, model,
-                   faulted, diagnostics, facts)
+    _compare_costs(prediction, report, schedule, tensor, model, faulted,
+                   diagnostics, facts)
     _compare_links(
         prediction, spatial.window_links, model.topology, diagnostics
     )
@@ -134,8 +113,7 @@ def _cost_diverged(name, static_value, dynamic_value, diagnostics, extra=""):
 
 
 def _compare_costs(
-    prediction, report, schedule, placement_costs, model, faulted,
-    diagnostics, facts,
+    prediction, report, schedule, tensor, model, faulted, diagnostics, facts,
 ):
     """VER008: every implementation must agree on what the run costs."""
     _cost_diverged(
@@ -157,7 +135,7 @@ def _compare_costs(
         )
     else:
         # the analytic evaluator is a third, independent implementation
-        analytic = evaluate_placement_costs(schedule, placement_costs(), model)
+        analytic = evaluate_schedule(schedule, tensor, model)
         facts["analytic"] = analytic.to_dict()
         _cost_diverged(
             "total", prediction.total, analytic.total, diagnostics,

@@ -23,7 +23,6 @@ Exit-code contract (one step stricter than lint's 0/1/2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 from ..diagnostics import (
     DIVERGENCE_CODES,
@@ -39,8 +38,8 @@ from ..schema import SCHEMA_VERSION, check_schema
 from ..trace import ReferenceTensor, Trace, build_reference_tensor
 from ..workloads import PaperInstance
 from .abstract import interpret_schedule
-from .certificate import _check_certificate, certificate_of
-from .differential import _run_differential
+from .certificate import certificate_of, check_certificate
+from .differential import run_differential
 
 __all__ = [
     "CertifyReport",
@@ -166,7 +165,8 @@ def certify_schedule(
     the exit-code contract.
 
     ``tensor`` is derived from ``trace`` + the schedule's windows when
-    not supplied.  ``differential=False`` skips the replay (purely
+    not supplied; a supplied one that does not fit the schedule or the
+    model raises ``ValueError``.  ``differential=False`` skips the replay (purely
     static certification, e.g. when only the proofs are wanted).
     """
     obs = resolve(instrument)
@@ -177,10 +177,6 @@ def certify_schedule(
         raise ValueError("schedule and trace disagree on n_data")
     if tensor is None:
         tensor = build_reference_tensor(trace, windows)
-
-    # the certificate check and the analytic evaluator share one
-    # (D, W, m) cost tensor, built on first use
-    placement_costs = cache(partial(model.all_placement_costs, tensor))
 
     report = CertifyReport(
         label=label or f"{schedule.method} ({schedule.n_data} data, "
@@ -210,9 +206,9 @@ def certify_schedule(
             report.facts["static"] = prediction.to_dict()
 
         with obs.span("verify.certificates"):
-            cert_diags = _check_certificate(
+            cert_diags = check_certificate(
                 schedule,
-                placement_costs,
+                tensor,
                 model,
                 faults,
                 require=require_certificate,
@@ -241,8 +237,8 @@ def certify_schedule(
 
         if differential and prediction is not None:
             with obs.span("verify.differential"):
-                diff_diags, facts = _run_differential(
-                    schedule, trace, placement_costs, model, prediction,
+                diff_diags, facts = run_differential(
+                    schedule, trace, tensor, model, prediction,
                     capacity, faults, retry,
                 )
             report.checks.append("differential")

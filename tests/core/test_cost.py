@@ -4,39 +4,39 @@ import numpy as np
 import pytest
 
 from repro.core import CostModel
+from repro.core.kernels import placement_cost_tensor_python
 from repro.grid import Mesh1D, Mesh2D
+from tests.cost_helpers import cost_row, one_window_tensor
 
 
 class TestPlacementCosts:
     def test_hand_computed_1d(self):
         model = CostModel(Mesh1D(4))
         # 2 refs at proc 0, 1 ref at proc 3
-        counts = np.array([[2, 0, 0, 1]])
-        costs = model.placement_costs(counts)
+        costs = cost_row(model, [2, 0, 0, 1])
         # cost(c) = 2|c-0| + |c-3|
-        assert costs[0].tolist() == [3.0, 4.0, 5.0, 6.0]
+        assert costs.tolist() == [3.0, 4.0, 5.0, 6.0]
 
-    def test_accepts_1d_row(self):
+    def test_one_window_tensor_shape(self):
         model = CostModel(Mesh1D(3))
-        costs = model.placement_costs(np.array([1, 0, 0]))
-        assert costs.shape == (1, 3)
-        assert costs[0].tolist() == [0.0, 1.0, 2.0]
+        costs = model.all_placement_costs(one_window_tensor([1, 0, 0]))
+        assert costs.shape == (1, 1, 3)
+        assert costs[0, 0].tolist() == [0.0, 1.0, 2.0]
 
     def test_zero_references_zero_cost(self, model44):
-        costs = model44.placement_costs(np.zeros((2, 16)))
+        costs = model44.all_placement_costs(one_window_tensor(np.zeros((2, 16))))
+        assert costs.shape == (2, 1, 16)
         assert not costs.any()
 
     def test_rejects_wrong_width(self, model44):
         with pytest.raises(ValueError):
-            model44.placement_costs(np.ones((2, 5)))
+            model44.all_placement_costs(one_window_tensor(np.ones((2, 5))))
 
     def test_all_placement_costs_matches_per_datum(self, tiny_tensor, mesh23):
         model = CostModel(mesh23)
         full = model.all_placement_costs(tiny_tensor)
         assert full.shape == (2, 3, 6)
-        for d in range(2):
-            expected = model.placement_costs(tiny_tensor.for_data(d), d)
-            assert np.allclose(full[d], expected)
+        assert np.array_equal(full, placement_cost_tensor_python(tiny_tensor, model))
 
     def test_all_placement_costs_rejects_other_array(self, tiny_tensor):
         model = CostModel(Mesh2D(4, 4))
@@ -49,9 +49,10 @@ class TestVolumes:
         topo = Mesh1D(3)
         unit = CostModel(topo)
         heavy = CostModel(topo, volumes=np.array([2.0, 5.0]))
-        counts = np.array([[1, 0, 0]])
-        assert np.allclose(
-            heavy.placement_costs(counts, d=1), 5 * unit.placement_costs(counts)
+        tensor = one_window_tensor([[1, 0, 0], [1, 0, 0]])
+        assert np.array_equal(
+            heavy.all_placement_costs(tensor)[1],
+            5 * unit.all_placement_costs(tensor)[1],
         )
 
     def test_volume_lookup(self):

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from repro.core import CostModel, gomcds
-from repro.diagnostics import FLT002, FLT007, TRC003, Diagnostic, Severity
+from repro.cli import main
+from repro.diagnostics import (
+    FLT002,
+    FLT007,
+    THY001,
+    TRC003,
+    Diagnostic,
+    Severity,
+)
 from repro.faults import FaultPlan, NodeFault, RecoveryPolicy
 from repro.grid import Mesh2D
 from repro.lint import (
@@ -19,7 +27,12 @@ from repro.lint import (
     result_fingerprint,
     run_lint,
 )
-from repro.trace import build_reference_tensor, windows_by_step_count
+from repro.trace import (
+    build_reference_tensor,
+    save_schedule,
+    save_trace,
+    windows_by_step_count,
+)
 from repro.workloads import trace_from_counts
 
 
@@ -86,6 +99,32 @@ def test_fix_merges_empty_windows_and_schedule_columns(mesh):
     fresh = run_lint(context)
     assert not fresh.by_code(TRC003)
     assert fresh.n_errors == 0
+
+
+def test_relint_after_merging_empty_windows_is_clean(mesh):
+    # the re-lint must price the merged 3-window schedule against a cost
+    # tensor of the merged windows, not the 4-window one it started with
+    context = _empty_window_context(mesh, with_schedule=True)
+    outcome = apply_fixes(context, run_lint(context).diagnostics)
+    assert {"windows", "schedule"} <= outcome.modified
+    report = run_lint(context)
+    assert not report.by_code(THY001)
+    assert report.exit_code == 0
+
+
+def test_cli_fix_merges_empty_windows_and_exits_clean(mesh, tmp_path, capsys):
+    context = _empty_window_context(mesh, with_schedule=True)
+    trace_path, schedule_path = tmp_path / "t.npz", tmp_path / "s.npz"
+    save_trace(trace_path, context.trace, context.windows)
+    save_schedule(schedule_path, context.schedule)
+    code = main([
+        "lint", "--trace", str(trace_path), "--schedule", str(schedule_path),
+        "--fix",
+    ])
+    out = capsys.readouterr().out
+    assert "fixed [TRC003]" in out
+    assert THY001 not in out
+    assert code == 0
 
 
 def test_empty_window_fix_skipped_under_faults(mesh):

@@ -15,6 +15,7 @@ from repro.lint import (
 from repro.mem import CapacityPlan
 from repro.trace import WindowSet, windows_by_step_count
 from repro.workloads import paper_instance, trace_from_counts
+from tests.cost_helpers import count_cost_builds
 
 
 def hotspot_bundle(mesh23, static_pid=None):
@@ -215,13 +216,13 @@ def test_cst001_flags_a_corrupted_evaluator(mesh44, monkeypatch):
 
     import repro.core.evaluate as evaluate
 
-    true_costs = evaluate.gather_per_datum_costs
+    true_costs = evaluate.per_datum_costs
 
-    def corrupted(schedule, cost_tensor, model):
-        ref, move = true_costs(schedule, cost_tensor, model)
+    def corrupted(schedule, tensor, model):
+        ref, move = true_costs(schedule, tensor, model)
         return ref + 1.0, move
 
-    monkeypatch.setattr(evaluate, "gather_per_datum_costs", corrupted)
+    monkeypatch.setattr(evaluate, "per_datum_costs", corrupted)
     report = run_lint(context, select=["CST001"])
     assert report.exit_code == 2
     assert all(d.code == "CST001" for d in report.diagnostics)
@@ -338,19 +339,11 @@ def test_flt008_replicate_needs_replicas(mesh44):
 
 
 def test_one_lint_run_builds_one_cost_tensor(monkeypatch):
-    from repro.core import CostModel
     from repro.lint import run_lint
 
     context = workload_context(paper_instance(1, 8))
-    calls = []
-    build = CostModel.all_placement_costs
-
-    def counted(model, tensor):
-        calls.append(tensor)
-        return build(model, tensor)
-
-    monkeypatch.setattr(CostModel, "all_placement_costs", counted)
+    builds = count_cost_builds(monkeypatch)
     report = run_lint(context)
-    # CST001, THY001 and THY002 all read the context's cost tensor
+    # CST001, CST002, THY001 and THY002 all read the model's cost tensor
     assert {"CST001", "THY001", "THY002"} <= set(report.rules_run)
-    assert len(calls) == 1
+    assert len(builds) == 1 and builds[0] is context.tensor

@@ -8,6 +8,7 @@ from repro.grid import Mesh1D, Mesh2D, Torus2D, XYRouter, cached_distance_matrix
 from repro.theory import closest_center_pair, lemma1_holds, theorem2_instance
 from repro.trace import TraceBuilder, reverse_trace, windows_by_step_count
 from repro.core import CostModel
+from tests.cost_helpers import cost_row
 
 meshes_2d = st.builds(
     Mesh2D, st.integers(1, 5), st.integers(1, 5)
@@ -94,8 +95,8 @@ def test_lemma1_property(counts0, counts1):
     """Paper's Lemma 1 holds on every generated 1-D two-window instance."""
     topo = Mesh1D(7)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = cost_row(model, counts0)
+    costs1 = cost_row(model, counts1)
     p1, p2 = closest_center_pair(costs0, costs1, topo)
     assert lemma1_holds(costs0, p1, p2)
 
@@ -111,8 +112,8 @@ def test_theorem2_property(counts0, counts1):
     """Paper's Theorem 2 holds on every generated 2-D two-window instance."""
     topo = Mesh2D(3, 4)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = cost_row(model, counts0)
+    costs1 = cost_row(model, counts1)
     assert theorem2_instance(costs0, costs1, topo)
 
 
@@ -124,6 +125,6 @@ def test_theorem3_property(counts0, counts1):
 
     topo = Mesh2D(3, 4)
     model = CostModel(topo)
-    costs0 = model.placement_costs(np.array(counts0))[0]
-    costs1 = model.placement_costs(np.array(counts1))[0]
+    costs0 = cost_row(model, counts0)
+    costs1 = cost_row(model, counts1)
     assert theorem3_holds(costs0, costs1, topo)

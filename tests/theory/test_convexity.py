@@ -10,6 +10,7 @@ from repro.theory import (
     is_separable_convex,
     separable_components,
 )
+from tests.cost_helpers import cost_row
 
 
 class TestConvexSequence:
@@ -29,7 +30,7 @@ class TestCostRowsAreSeparableConvex:
         model = CostModel(topo)
         for _ in range(50):
             counts = rng.integers(0, 6, size=9)
-            row = model.placement_costs(counts)[0]
+            row = cost_row(model, counts)
             assert is_separable_convex(row, topo)
 
     def test_2d_random(self, mesh44):
@@ -37,7 +38,7 @@ class TestCostRowsAreSeparableConvex:
         model = CostModel(mesh44)
         for _ in range(50):
             counts = rng.integers(0, 6, size=16)
-            row = model.placement_costs(counts)[0]
+            row = cost_row(model, counts)
             assert is_separable_convex(row, mesh44)
 
     def test_decomposition_exact(self, mesh44):
@@ -45,7 +46,7 @@ class TestCostRowsAreSeparableConvex:
         counts = np.zeros(16)
         counts[mesh44.pid(1, 2)] = 3
         counts[mesh44.pid(3, 0)] = 1
-        row = model.placement_costs(counts)[0]
+        row = cost_row(model, counts)
         f, g, residual = separable_components(row, mesh44)
         assert residual == 0.0
         grid = row.reshape(4, 4)
@@ -58,7 +59,7 @@ class TestCostRowsAreSeparableConvex:
         model = CostModel(topo)
         counts = np.zeros(25)
         counts[0] = 1
-        row = model.placement_costs(counts)[0]
+        row = cost_row(model, counts)
         # the first grid row of the torus metric is 0,1,2,2,1: not convex
         assert not is_convex_sequence(row.reshape(5, 5)[0])
 

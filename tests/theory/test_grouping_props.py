@@ -11,13 +11,14 @@ from repro.theory import (
     theorem3_gap_heavy_move,
     theorem3_holds,
 )
+from tests.cost_helpers import cost_row
 
 
 def rows(counts0, counts1, topo):
     model = CostModel(topo)
     return (
-        model.placement_costs(np.asarray(counts0))[0],
-        model.placement_costs(np.asarray(counts1))[0],
+        cost_row(model, counts0),
+        cost_row(model, counts1),
     )
 
 

@@ -14,13 +14,14 @@ from repro.theory import (
     theorem2_holds,
     theorem2_instance,
 )
+from tests.cost_helpers import cost_row
 
 
 def cost_row_1d(counts):
     """Unit-volume placement costs on a line from a reference-count row."""
     n = len(counts)
     model = CostModel(Mesh1D(n))
-    return model.placement_costs(np.asarray(counts))[0]
+    return cost_row(model, counts)
 
 
 class TestHelpers:
@@ -86,8 +87,8 @@ class TestTheorem2:
         counts0[mesh44.pid(0, 0)] = 4
         counts1 = np.zeros(16)
         counts1[mesh44.pid(3, 3)] = 4
-        costs0 = model.placement_costs(counts0)[0]
-        costs1 = model.placement_costs(counts1)[0]
+        costs0 = cost_row(model, counts0)
+        costs1 = cost_row(model, counts1)
         assert theorem2_instance(costs0, costs1, mesh44)
 
     def test_random_instances(self, mesh44):
@@ -98,8 +99,8 @@ class TestTheorem2:
             counts1 = rng.integers(0, 4, size=16)
             if counts0.sum() == 0 or counts1.sum() == 0:
                 continue
-            costs0 = model.placement_costs(counts0)[0]
-            costs1 = model.placement_costs(counts1)[0]
+            costs0 = cost_row(model, counts0)
+            costs1 = cost_row(model, counts1)
             assert theorem2_instance(costs0, costs1, mesh44)
 
     def test_rejects_non_mesh(self):

@@ -278,3 +278,14 @@ def test_obs001_ties_break_by_link(mesh44):
     assert [d.message.split()[2].rstrip(":") for d in saturated] == [
         link_key(link, mesh44.shape) for link in sorted(hot)
     ]
+
+
+def test_interpret_rejects_another_instances_tensor(mesh44):
+    tensor = benchmark(1, 8, mesh44).reference_tensor()
+    model = CostModel(mesh44)
+    schedule = gomcds(tensor, model, None)
+    other = benchmark(5, 8, mesh44).reference_tensor()
+    with pytest.raises(ValueError, match="disagree on windows"):
+        interpret_schedule(schedule, other, model)
+    with pytest.raises(ValueError, match="cost model's array"):
+        interpret_schedule(schedule, tensor, CostModel(Mesh2D(2, 4)))

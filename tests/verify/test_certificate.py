@@ -130,3 +130,22 @@ def test_restricted_to_keeps_certificate_consistent(certified):
     subtensor = ReferenceTensor(tensor.counts[ids], tensor.windows)
     diags = check_certificate(sub, subtensor, model)
     assert not [d for d in diags if d.severity == Severity.ERROR]
+
+
+def test_check_certificate_rejects_another_instances_tensor(certified, mesh44):
+    _, model, _, schedule = certified
+    other = benchmark(5, 8, mesh44).reference_tensor()
+    with pytest.raises(ValueError, match="disagree on windows"):
+        check_certificate(schedule, other, model)
+
+
+def test_certify_schedule_rejects_another_instances_tensor(certified, mesh44):
+    from repro.verify import certify_schedule
+
+    _, model, capacity, schedule = certified
+    trace = benchmark(1, 8, mesh44).trace
+    other = benchmark(5, 8, mesh44).reference_tensor()
+    with pytest.raises(ValueError, match="disagree on windows"):
+        certify_schedule(
+            schedule, trace, model, tensor=other, capacity=capacity
+        )

@@ -11,6 +11,7 @@ from repro.faults import FaultPlan, NodeFault
 from repro.mem import CapacityPlan
 from repro.verify import interpret_schedule, run_differential
 from repro.workloads import benchmark
+from tests.cost_helpers import count_cost_builds
 
 
 def _setup(bench, mesh, faults=None):
@@ -89,18 +90,6 @@ def test_wrong_accounting_is_ver010(mesh44):
     assert any(d.code == VER010 for d in diags)
 
 
-def _count_cost_tensors(monkeypatch):
-    calls = []
-    build = CostModel.all_placement_costs
-
-    def counted(model, tensor):
-        calls.append(tensor)
-        return build(model, tensor)
-
-    monkeypatch.setattr(CostModel, "all_placement_costs", counted)
-    return calls
-
-
 @pytest.mark.parametrize("faulted", [False, True])
 def test_certify_builds_one_cost_tensor(mesh44, monkeypatch, faulted):
     from repro.verify import certify_schedule
@@ -110,18 +99,19 @@ def test_certify_builds_one_cost_tensor(mesh44, monkeypatch, faulted):
     model = CostModel(mesh44)
     capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
     faults = FaultPlan(node_faults=(NodeFault(pid=5, start=2),))
+    builds = count_cost_builds(monkeypatch)
     if faulted:
         schedule = reschedule_around_faults(
             tensor, model, faults, capacity, certify=True
         )
     else:
         schedule = gomcds(tensor, model, capacity, certify=True)
-    calls = _count_cost_tensors(monkeypatch)
     report = certify_schedule(
         schedule, wl.trace, model, tensor=tensor, capacity=capacity,
         faults=faults if faulted else None,
     )
     assert not report.diverged
     assert report.certified_data == schedule.n_data
-    # the certificate check and the analytic evaluator share one tensor
-    assert len(calls) == 1
+    # the solve, the certificate check and the analytic evaluator share
+    # the model's one tensor
+    assert len(builds) == 1 and builds[0] is tensor
