@@ -1,8 +1,9 @@
 """Observability: span tracing, metrics and exporters (docs/observability.md).
 
 The subsystem is dark by default: every instrumented function resolves
-its ``instrument`` argument to the shared no-op handle unless a caller
-passes an :class:`Instrumentation` or installs one process-wide with
+its ``instrument`` argument to ``NOOP``, the shared disabled session
+(``Instrumentation(enabled=False)``), unless a caller passes an
+:class:`Instrumentation` or installs one process-wide with
 :func:`instrumented` (what ``repro profile`` and ``--metrics`` do).
 
 Quickstart::
@@ -16,16 +17,8 @@ Quickstart::
 """
 
 from .instrument import NOOP, Instrumentation, active, instrumented, resolve
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spatial import (
-    NULL_SPATIAL_STORE,
-    NullSpatialStore,
     SpatialRecorder,
     SpatialReport,
     SpatialStore,
@@ -33,12 +26,10 @@ from .spatial import (
     analyze_spatial,
     gini_coefficient,
 )
-from .tracer import NULL_SPAN, NullTracer, Span, Tracer
+from .tracer import NULL_SPAN, Span, Tracer
 from .provenance import (
     ACTION_NAMES,
-    NULL_PROVENANCE_STORE,
     DecisionLog,
-    NullProvenanceStore,
     ProvenanceStore,
     derive_decisions,
     derive_decisions_python,
@@ -67,19 +58,15 @@ __all__ = [
     "active",
     "instrumented",
     "Tracer",
-    "NullTracer",
     "Span",
     "NULL_SPAN",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "SpatialTrace",
     "SpatialRecorder",
     "SpatialStore",
-    "NullSpatialStore",
-    "NULL_SPATIAL_STORE",
     "SpatialReport",
     "analyze_spatial",
     "gini_coefficient",
@@ -101,8 +88,6 @@ __all__ = [
     "ACTION_NAMES",
     "DecisionLog",
     "ProvenanceStore",
-    "NullProvenanceStore",
-    "NULL_PROVENANCE_STORE",
     "derive_decisions",
     "derive_decisions_python",
     "record_decisions",

@@ -8,12 +8,16 @@ Every instrumented function in the codebase takes an optional
   default installed by :func:`instrumented` (the CLI's ``--metrics``
   flag and ``repro profile`` use this so deep call chains need no
   plumbing);
-* with nothing active, the shared :data:`NOOP` handle is returned,
-  whose tracer and metrics are do-nothing singletons.
+* with nothing active, the shared :data:`NOOP` handle is returned: a
+  session with ``enabled=False``.
 
-The no-op path is the default everywhere, so uninstrumented runs pay
-one attribute lookup and one no-op method call per probe — measured at
-well under the 5 % overhead budget by ``benchmarks/bench_profile.py``.
+``enabled`` is the one off switch.  On a disabled session the probe
+helpers return at once (``span`` hands back the shared
+:data:`~repro.obs.tracer.NULL_SPAN`), and every store write elsewhere
+sits behind ``enabled`` or a store's ``recording`` flag, so ``NOOP``'s
+components stay empty.  Uninstrumented runs pay one method call and one
+``enabled`` check per probe — measured at well under the 5 % overhead
+budget by ``benchmarks/bench_profile.py``.
 """
 
 from __future__ import annotations
@@ -21,14 +25,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .metrics import MetricsRegistry, NullMetricsRegistry
-from .provenance import (
-    NULL_PROVENANCE_STORE,
-    NullProvenanceStore,
-    ProvenanceStore,
-)
-from .spatial import NULL_SPATIAL_STORE, NullSpatialStore, SpatialStore
-from .tracer import NullTracer, Tracer
+from .metrics import MetricsRegistry
+from .provenance import ProvenanceStore
+from .spatial import SpatialStore
+from .tracer import NULL_SPAN, Tracer
 
 __all__ = ["Instrumentation", "NOOP", "resolve", "instrumented", "active"]
 
@@ -38,16 +38,10 @@ class Instrumentation:
     """One observability session: span tracer, metrics registry, and the
     (opt-in) spatial-telemetry and decision-provenance stores."""
 
-    tracer: Tracer | NullTracer = field(default_factory=Tracer)
-    metrics: MetricsRegistry | NullMetricsRegistry = field(
-        default_factory=MetricsRegistry
-    )
-    spatial: SpatialStore | NullSpatialStore = field(
-        default_factory=SpatialStore
-    )
-    provenance: ProvenanceStore | NullProvenanceStore = field(
-        default_factory=ProvenanceStore
-    )
+    tracer: Tracer = field(default_factory=Tracer)
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    spatial: SpatialStore = field(default_factory=SpatialStore)
+    provenance: ProvenanceStore = field(default_factory=ProvenanceStore)
     enabled: bool = True
 
     @classmethod
@@ -76,29 +70,28 @@ class Instrumentation:
     # -- probe helpers (what instrumented code actually calls) --------------
 
     def span(self, name: str, **attrs):
-        """A context-managed phase span (no-op when disabled)."""
+        """A context-managed phase span (``NULL_SPAN`` when disabled)."""
+        if not self.enabled:
+            return NULL_SPAN
         return self.tracer.span(name, **attrs)
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        self.metrics.counter(name).inc(amount)
+        if self.enabled:
+            self.metrics.counter(name).inc(amount)
 
     def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name).set(value)
+        if self.enabled:
+            self.metrics.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         """Histogram sample stamped with the tracer's clock, so exporters
         can render it as a time series alongside the spans."""
-        self.metrics.histogram(name).observe(value, ts=self.tracer.now_us())
+        if self.enabled:
+            self.metrics.histogram(name).observe(value, ts=self.tracer.now_us())
 
 
-#: The zero-overhead default: records nothing, allocates nothing.
-NOOP = Instrumentation(
-    tracer=NullTracer(),
-    metrics=NullMetricsRegistry(),
-    spatial=NULL_SPATIAL_STORE,
-    provenance=NULL_PROVENANCE_STORE,
-    enabled=False,
-)
+#: The dark default: a disabled session whose components stay empty.
+NOOP = Instrumentation(enabled=False)
 
 _active: Instrumentation = NOOP
 

@@ -9,9 +9,6 @@ simulator, the fault machinery and the lint engine need to report:
 * :class:`Histogram` — streaming distributions with optional
   per-sample timestamps, so exporters can render both summary
   statistics and Chrome ``ph: "C"`` counter series (per-window hops).
-
-The null variants are shared singletons whose mutators do nothing —
-the zero-overhead default when no instrumentation is active.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
 ]
 
 
@@ -187,65 +183,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)
-
-
-class _NullCounter:
-    __slots__ = ()
-
-    name = "null"
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    name = "null"
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, value: float, ts: float | None = None) -> None:
-        return None
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullMetricsRegistry:
-    """Registry that hands out shared do-nothing instruments."""
-
-    __slots__ = ()
-
-    counters: dict = {}
-    gauges: dict = {}
-    histograms: dict = {}
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def to_dicts(self) -> list[dict]:
-        return []
-
-    def __len__(self) -> int:
-        return 0

@@ -21,7 +21,9 @@ explanation can never drift from the cost it explains, and
 Like the spatial store, provenance is opt-in on top of a recording
 session and strictly observational: schedules solved with provenance on
 are bit-identical to dark runs (tested by property tests).  The dark
-default costs one attribute read per solve (``NULL_PROVENANCE_STORE``).
+default costs one attribute read per solve: the ``recording`` flag of
+the session's store, False on ``NOOP`` and on sessions started without
+``provenance=True``.
 
 Solves derive their logs with :func:`derive_decisions` (vectorized);
 :func:`derive_decisions_python` (scalar loops) is its bit-identical test
@@ -47,8 +49,6 @@ __all__ = [
     "ACTION_DETOUR",
     "DecisionLog",
     "ProvenanceStore",
-    "NullProvenanceStore",
-    "NULL_PROVENANCE_STORE",
     "derive_decisions",
     "derive_decisions_python",
     "record_decisions",
@@ -466,7 +466,7 @@ def record_decisions(
 
 
 # ---------------------------------------------------------------------------
-# Session stores (mirrors SpatialStore / NullSpatialStore)
+# Session store (mirrors SpatialStore)
 # ---------------------------------------------------------------------------
 
 
@@ -502,26 +502,3 @@ class ProvenanceStore:
 
     def __len__(self) -> int:
         return len(self.logs)
-
-
-class NullProvenanceStore:
-    """Shared do-nothing store (the dark default)."""
-
-    __slots__ = ()
-    recording = False
-    logs: tuple = ()
-
-    def add(self, log) -> None:
-        return None
-
-    def adopt(self, log) -> None:
-        return None
-
-    def clear(self) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_PROVENANCE_STORE = NullProvenanceStore()

@@ -37,8 +37,6 @@ __all__ = [
     "SpatialTrace",
     "SpatialRecorder",
     "SpatialStore",
-    "NullSpatialStore",
-    "NULL_SPATIAL_STORE",
     "SpatialReport",
     "analyze_spatial",
     "gini_coefficient",
@@ -270,24 +268,6 @@ class SpatialStore:
 
     def __len__(self) -> int:
         return len(self.traces)
-
-
-class NullSpatialStore:
-    """Do-nothing store: the zero-overhead default on the NOOP handle."""
-
-    __slots__ = ()
-
-    recording = False
-    traces: tuple = ()
-
-    def add(self, trace: SpatialTrace) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_SPATIAL_STORE = NullSpatialStore()
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ relative to the tracer's creation.  Spans nest through an explicit
 stack, so exporters can rebuild the tree (human summary) or emit flat
 Chrome trace events (``ph: "X"``) without bookkeeping of their own.
 
-The :class:`NullTracer` is the zero-overhead default: ``span()`` hands
-back a shared singleton whose ``__enter__``/``__exit__``/``set`` do
-nothing, so instrumented hot paths cost one method call and one kwargs
-dict when observability is off.
+A disabled :class:`~repro.obs.instrument.Instrumentation` never reaches
+its tracer: its ``span()`` hands back :data:`NULL_SPAN`, a shared
+singleton whose ``__enter__``/``__exit__``/``set`` do nothing, so
+instrumented hot paths cost one method call and one kwargs dict when
+observability is off.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 
 class Span:
@@ -116,20 +117,3 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-
-class NullTracer:
-    """Tracer that records nothing and allocates (almost) nothing."""
-
-    __slots__ = ()
-
-    spans: list = []
-
-    def now_us(self) -> float:
-        return 0.0
-
-    def span(self, name: str, **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def __len__(self) -> int:
-        return 0

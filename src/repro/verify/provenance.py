@@ -30,6 +30,12 @@ import numpy as np
 
 from ..core.evaluate import evaluate_schedule
 from ..diagnostics import VER012, Diagnostic, Severity
+from ..obs.provenance import (
+    ACTION_DETOUR,
+    ACTION_HOLD,
+    ACTION_NAMES,
+    ACTION_PLACE,
+)
 from .abstract import interpret_schedule
 
 __all__ = ["check_provenance_log", "MAX_PROVENANCE_DIAGNOSTICS"]
@@ -37,8 +43,7 @@ __all__ = ["check_provenance_log", "MAX_PROVENANCE_DIAGNOSTICS"]
 #: Per-check emission cap — a corrupted log fails loudly, not endlessly.
 MAX_PROVENANCE_DIAGNOSTICS = 8
 
-_HOLD = 1  # ACTION_HOLD; mirrored here to keep verify importable without obs
-_W0_ACTIONS = (0, 4)  # place, detour
+_W0_ACTIONS = (ACTION_PLACE, ACTION_DETOUR)
 
 
 def _diag(message, datum=None, window=None, hint=None) -> Diagnostic:
@@ -94,7 +99,7 @@ def _check_actions(log, out: list) -> None:
                     )
                 )
         for w in range(1, log.n_windows):
-            held = int(log.actions[d, w]) == _HOLD
+            held = int(log.actions[d, w]) == ACTION_HOLD
             same = log.centers[d, w] == log.centers[d, w - 1]
             if held == bool(same):
                 continue
@@ -108,8 +113,6 @@ def _check_actions(log, out: list) -> None:
 
 
 def _action_name(log, d: int, w: int) -> str:
-    from ..obs.provenance import ACTION_NAMES
-
     code = int(log.actions[d, w])
     return ACTION_NAMES[code] if 0 <= code < len(ACTION_NAMES) else str(code)
 

@@ -7,7 +7,7 @@ from repro.core import CostModel, evaluate_schedule, lomcds, scds
 from repro.grid import Mesh1D
 from repro.mem import CapacityError, CapacityPlan
 from repro.trace import build_reference_tensor
-from repro.workloads import trace_from_counts
+from repro.workloads import paper_instance, trace_from_counts
 
 
 def tensor_1d(counts):
@@ -143,3 +143,18 @@ def test_deterministic(lu8_tensor, mesh44):
     assert np.array_equal(
         lomcds(lu8_tensor, model).centers, lomcds(lu8_tensor, model).centers
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the capacity walk lets a datum idle in window 0 take the first "
+    "free processor there instead of holding its first referenced center "
+    "backward (docs/algorithms.md, LOMCDS)",
+)
+@pytest.mark.parametrize("bench", [2, 4, 5])
+def test_slack_capacity_matches_unconstrained(bench):
+    inst = paper_instance(bench, 16)
+    slack = CapacityPlan.paper_rule(inst.tensor.n_data, 16, 1000.0)
+    free = lomcds(inst.tensor, inst.model)
+    constrained = lomcds(inst.tensor, inst.model, capacity=slack)
+    assert np.array_equal(constrained.centers, free.centers)

@@ -1,7 +1,6 @@
 """Per-rule unit tests: every code fires on its seeded violation."""
 
 import numpy as np
-import pytest
 
 from repro.core import Schedule
 from repro.diagnostics import Severity

@@ -11,6 +11,7 @@ def test_noop_is_disabled_and_records_nothing():
         NOOP.observe("h", 2.0)
     assert len(NOOP.tracer) == 0
     assert len(NOOP.metrics) == 0
+    assert NOOP.metrics.to_dicts() == []
 
 
 def test_started_session_records():
@@ -88,9 +89,7 @@ def test_instrumented_nesting_restores_outer_on_inner_exception():
 
 
 def test_nested_sessions_keep_separate_provenance_stores():
-    from repro.obs import NULL_PROVENANCE_STORE
-
-    assert NOOP.provenance is NULL_PROVENANCE_STORE
+    assert NOOP.provenance.recording is False
     outer = Instrumentation.started(provenance=True)
     inner = Instrumentation.started()  # recording, provenance off
     with instrumented(outer):

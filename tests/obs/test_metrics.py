@@ -1,12 +1,6 @@
 """Metrics registry unit tests."""
 
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
 def test_counter_accumulates():
@@ -66,17 +60,6 @@ def test_registry_get_or_create_is_stable():
     assert len(reg) == 3
     kinds = [rec["kind"] for rec in reg.to_dicts()]
     assert kinds == ["counter", "gauge", "histogram"]
-
-
-def test_null_registry_swallows_everything():
-    reg = NullMetricsRegistry()
-    reg.counter("x").inc(100)
-    reg.gauge("y").set(5)
-    reg.histogram("z").observe(1.0, ts=2.0)
-    assert len(reg) == 0
-    assert reg.to_dicts() == []
-    # shared singletons, no per-call allocation
-    assert reg.counter("x") is reg.counter("other")
 
 
 def test_histogram_percentile_summaries():

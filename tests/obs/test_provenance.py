@@ -18,7 +18,6 @@ from repro.obs import (
     NOOP,
     DecisionLog,
     Instrumentation,
-    NullProvenanceStore,
     ProvenanceStore,
     render_summary,
     to_jsonl,
@@ -163,13 +162,13 @@ def test_decision_log_pickles():
 
 
 def test_stores_gate_recording():
-    null = NullProvenanceStore()
-    null.add(object())
-    assert len(null) == 0 and null.recording is False
+    assert isinstance(NOOP.provenance, ProvenanceStore)
     assert NOOP.provenance.recording is False
     off = Instrumentation.started()  # recording session, provenance off
     assert off.provenance.recording is False
     tensor, model = instance()
+    schedule(tensor, model, instrument=NOOP)
+    assert len(NOOP.provenance) == 0
     schedule(tensor, model, instrument=off)
     assert len(off.provenance) == 0
     store = ProvenanceStore(recording=True)

@@ -6,7 +6,6 @@ import pytest
 from repro.diagnostics import OBS001, OBS002
 from repro.grid import Mesh2D, Torus2D, mesh_links
 from repro.obs import (
-    NULL_SPATIAL_STORE,
     Instrumentation,
     NOOP,
     SpatialRecorder,
@@ -181,8 +180,7 @@ class TestStores:
         store.add(make_trace([[]]))
         assert len(store) == 1
 
-    def test_noop_carries_null_store(self):
-        assert NOOP.spatial is NULL_SPATIAL_STORE
+    def test_noop_store_is_dark(self):
+        assert isinstance(NOOP.spatial, SpatialStore)
         assert NOOP.spatial.recording is False
-        NOOP.spatial.add(make_trace([[]]))  # swallowed
         assert len(NOOP.spatial) == 0

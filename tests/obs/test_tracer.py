@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_SPAN, NullTracer, Tracer
+from repro.obs import NOOP, NULL_SPAN, Tracer
 
 
 def test_spans_record_in_preorder_with_depth():
@@ -66,12 +66,10 @@ def test_now_us_is_monotonic():
     assert b >= a >= 0.0
 
 
-def test_null_tracer_records_nothing():
-    t = NullTracer()
-    span = t.span("anything", k=1)
+def test_noop_span_is_the_null_span():
+    span = NOOP.span("anything", k=1)
     assert span is NULL_SPAN
     with span as s:
         assert s.set(x=1) is s
-    assert len(t) == 0
-    assert t.spans == []
-    assert t.now_us() == 0.0
+    assert len(NOOP.tracer) == 0
+    assert NOOP.tracer.spans == []
