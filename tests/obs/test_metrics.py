@@ -1,6 +1,6 @@
 """Metrics registry unit tests."""
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import NOOP, Counter, Gauge, Histogram, MetricsRegistry
 
 
 def test_counter_accumulates():
@@ -60,6 +60,18 @@ def test_registry_get_or_create_is_stable():
     assert len(reg) == 3
     kinds = [rec["kind"] for rec in reg.to_dicts()]
     assert kinds == ["counter", "gauge", "histogram"]
+
+
+def test_null_registry_swallows_everything():
+    # a disabled session's probes never reach its registry
+    NOOP.count("x", 100)
+    NOOP.gauge("y", 5)
+    NOOP.observe("z", 1.0)
+    assert len(NOOP.metrics) == 0
+    assert NOOP.metrics.to_dicts() == []
+    assert not NOOP.metrics.counters
+    assert not NOOP.metrics.gauges
+    assert not NOOP.metrics.histograms
 
 
 def test_histogram_percentile_summaries():
