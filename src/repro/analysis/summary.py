@@ -86,7 +86,7 @@ def generate_report(
             ("Ablation E: iteration partitions", ablation_partition_schemes()),
             ("Ablation F: online lookahead", ablation_online_lookahead()),
             ("Ablation G: replication", ablation_replication()),
-            ("Ablation H: refinement", ablation_refinement()),
+            ("Ablation H: priced walk", ablation_refinement()),
             ("Ablation I: window segmentation", ablation_window_segmentation()),
             ("Ablation J: static optimality gap", ablation_static_optimality()),
             ("Ablation K: movement budget", ablation_movement_budget()),

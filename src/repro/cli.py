@@ -1466,7 +1466,7 @@ _REPORTS = (
      _rows(ablation_online_lookahead)),
     ("ablation-replication", "k-replica placement (G)",
      _rows(ablation_replication)),
-    ("ablation-refine", "local-search refinement (H)",
+    ("ablation-refine", "Lagrangian-priced capacity walk (H)",
      _rows(ablation_refinement)),
     ("ablation-segmentation", "window boundary strategies (I)",
      _rows(ablation_window_segmentation)),

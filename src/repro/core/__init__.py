@@ -18,7 +18,7 @@ a frozen :class:`SchedulerSpec` carrying each algorithm's metadata.
 from .cost import CostModel
 from .budget import gomcds_budgeted, movement_frontier
 from .evaluate import CostBreakdown, evaluate_schedule, per_datum_costs
-from .gomcds import gomcds, shortest_center_path
+from .gomcds import gomcds, priced_gomcds, shortest_center_path
 from .grouping import (
     greedy_grouping,
     grouped_schedule,
@@ -28,7 +28,6 @@ from .grouping import (
 from .lomcds import lomcds
 from .online import omcds
 from .optimal import optimal_static_placement, static_lower_bound
-from .refine import RefineResult, refine_schedule
 from ..faults import alive_window_mask
 from .reschedule import reschedule_around_faults, reschedule_from_window
 from .replication import (
@@ -50,6 +49,7 @@ __all__ = [
     "scds",
     "lomcds",
     "gomcds",
+    "priced_gomcds",
     "gomcds_budgeted",
     "movement_frontier",
     "shortest_center_path",
@@ -60,8 +60,6 @@ __all__ = [
     "omcds",
     "optimal_static_placement",
     "static_lower_bound",
-    "RefineResult",
-    "refine_schedule",
     "reschedule_around_faults",
     "reschedule_from_window",
     "alive_window_mask",

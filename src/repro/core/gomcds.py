@@ -28,6 +28,8 @@ Rescheduling around a known fault is the same solve with the dead
 also prices its first edge from the rollback residency, so
 :func:`gomcds` and both fault reschedulers
 (:mod:`repro.core.reschedule`) call one function, :func:`_solve`.
+:func:`priced_gomcds` reruns the same capacity walk with Lagrangian
+prices on the memory slots, and bounds the constrained optimum.
 """
 
 from __future__ import annotations
@@ -39,14 +41,16 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .evaluate import evaluate_schedule
 from .schedule import Schedule
 
-__all__ = ["gomcds", "shortest_center_path"]
+__all__ = ["gomcds", "priced_gomcds", "shortest_center_path"]
 
 _INF = np.inf
 _NO_PATH = "no feasible center path under the memory constraint"
 _BLOCK = 128  # rows per batched-DP block (see _all_paths_vectorized)
 _L1_MIN_CELLS = 1024  # rows x processors from which a block takes the L1 step
+_PRICE_STEPS = 30  # Polyak steps of the priced walk (see priced_gomcds)
 
 
 def shortest_center_path(
@@ -517,3 +521,67 @@ def gomcds(
             tensor, model, capacity, obs=obs,
             certify=certify, phase="gomcds", method="GOMCDS",
         )
+
+
+def priced_gomcds(
+    tensor: ReferenceTensor, model: CostModel, capacity: CapacityPlan
+) -> tuple[Schedule, float]:
+    """Constrained GOMCDS with its memory slots priced by Lagrangian relaxation.
+
+    Each of ``_PRICE_STEPS`` steps prices every ``(window, processor)``
+    slot with ``λ >= 0`` and reruns the capacity walk of :func:`gomcds`
+    (:func:`_batched_walk`, same priority order, fresh tracker) on
+    ``costs + λ``; the walk that is cheapest at the true costs is kept.
+    One unconstrained DP on the priced costs gives the Lagrangian bound
+    ``L(λ) = Σ_d DP_d(λ) - Σ λ·cap``, below the cost of every
+    capacity-feasible schedule, and its slot usage minus ``cap`` is a
+    subgradient along which ``λ`` takes a projected Polyak step; the step
+    size halves after 3 steps without a better bound.  Step 0 has
+    ``λ = 0``, so its walk is :func:`gomcds` under ``capacity`` and the
+    result never costs more.  ``λ`` is fractional, so every DP takes the
+    dense step: the L1 step is exact only on integers.
+
+    Returns ``(schedule, bound)``: the cheapest walk and the best bound.
+    Raises :class:`CapacityError` when the data cannot fit at all.
+    """
+    n_data, n_windows, n_procs = tensor.n_data, tensor.n_windows, model.n_procs
+    capacity.check_feasible(n_data)
+    costs = model.all_placement_costs(tensor)
+    dist = model.distances.astype(np.float64)
+    vols = model.volume_vector(n_data)
+    order = tensor.data_priority_order()
+    caps = capacity.capacities
+    price = np.zeros((n_windows, n_procs))
+    best, best_cost, bound = None, _INF, -_INF
+    theta, stalled = 2.0, 0
+    for _ in range(_PRICE_STEPS):
+        priced = costs + price[None]
+        centers, _, _ = _batched_walk(
+            priced, dist, vols, order,
+            tracker=OccupancyTracker(capacity, n_windows),
+        )
+        walk = Schedule(
+            centers=centers, windows=tensor.windows, method="GOMCDS+priced"
+        )
+        cost = evaluate_schedule(walk, tensor, model).total
+        if cost < best_cost:
+            best, best_cost = walk, cost
+        paths, totals, _ = _all_paths_vectorized(priced, dist, vols)
+        lower = totals.sum() - (price * caps).sum()
+        if lower > bound:
+            bound, stalled = lower, 0
+        else:
+            stalled += 1
+            if stalled == 3:
+                theta, stalled = theta / 2, 0
+        usage = Schedule(centers=paths, windows=tensor.windows).occupancy(n_procs)
+        excess = usage - caps
+        norm = float((excess * excess).sum())
+        if best_cost <= bound or norm == 0.0:
+            break  # the walk meets the bound, or the DP paths fill each slot exactly
+        step = theta * (best_cost - lower) / norm
+        stepped = np.maximum(0.0, price + step * excess)
+        if np.array_equal(stepped, price):
+            break  # the projection cancels every step from here on
+        price = stepped
+    return best, float(bound)

@@ -87,7 +87,7 @@ def check_one_step_optimality(context):
                 datum=int(d),
                 window=w,
                 processor=int(centers[d, w]),
-                hint="run GOMCDS (or refine_schedule) to close the gap",
+                hint="run GOMCDS to close the gap",
             )
 
 

@@ -1,6 +1,6 @@
 """Property-based tests for the extension modules.
 
-Same generator style as test_scheduler_invariants, covering: refinement,
+Same generator style as test_scheduler_invariants, covering: the priced walk,
 the online scheduler, replication, and the extended topologies.
 """
 
@@ -18,7 +18,7 @@ from repro.core import (
     evaluate_schedule,
     gomcds,
     omcds,
-    refine_schedule,
+    priced_gomcds,
     replicated_scds,
     scds,
 )
@@ -50,28 +50,27 @@ def tensors(draw, max_data=5, max_windows=4):
 
 @given(tensors())
 @settings(max_examples=50, deadline=None)
-def test_refinement_never_degrades_and_respects_capacity(case):
+def test_priced_walk_never_degrades_and_respects_capacity(case):
     tensor, _trace, model = case
     cap_value = -(-tensor.n_data // model.n_procs) + 1
     plan = CapacityPlan.uniform(model.n_procs, cap_value)
-    schedule = gomcds(tensor, model, plan)
-    result = refine_schedule(schedule, tensor, model, plan)
-    assert result.final_cost <= result.initial_cost + 1e-9
-    occ = result.schedule.occupancy(model.n_procs)
+    greedy = evaluate_schedule(gomcds(tensor, model, plan), tensor, model).total
+    schedule, bound = priced_gomcds(tensor, model, plan)
+    priced = evaluate_schedule(schedule, tensor, model).total
+    assert priced <= greedy
+    assert bound <= priced or math.isclose(bound, priced)
+    occ = schedule.occupancy(model.n_procs)
     assert (occ <= plan.capacities[None, :]).all()
-    # reported costs are the true evaluator costs
-    assert result.final_cost == pytest.approx(
-        evaluate_schedule(result.schedule, tensor, model).total
-    )
 
 
 @given(tensors())
 @settings(max_examples=50, deadline=None)
-def test_refined_schedule_replays_exactly(case):
+def test_priced_schedule_replays_exactly(case):
     tensor, trace, model = case
-    result = refine_schedule(scds(tensor, model), tensor, model)
-    analytic = evaluate_schedule(result.schedule, tensor, model)
-    assert replay_schedule(trace, result.schedule, model).matches(analytic)
+    plan = CapacityPlan.uniform(model.n_procs, -(-tensor.n_data // model.n_procs))
+    schedule, _ = priced_gomcds(tensor, model, plan)
+    analytic = evaluate_schedule(schedule, tensor, model)
+    assert replay_schedule(trace, schedule, model).matches(analytic)
 
 
 @given(tensors(), st.sampled_from([1.0, 2.0, math.inf]))
