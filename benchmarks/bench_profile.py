@@ -16,12 +16,12 @@ slow repeat a noisy CI machine produces — and the script exits non-zero
 when the ratio exceeds ``--max-overhead-pct``, keeping the "dark by
 default" promise honest.  ``--max-telemetry-overhead-pct`` gates the
 *enabled* path: :func:`repro.analysis.regression.overhead_probe` times a
-``workers=2`` numpy GOMCDS batch over the same benchmarks dark and under
-full cross-process span harvesting, alternating, and the script exits
-non-zero when the median-over-median overhead exceeds the budget or the
-schedules differ.  The probe's last harvested session can be written out
-as a merged Chrome trace (``--batch-trace-out``) and a Prometheus
-exposition dump (``--batch-prom-out``) for CI artifacts.  The tracked
+``schedule_many`` GOMCDS batch over the same benchmarks dark and under a
+recording session, alternating, and the script exits non-zero when the
+median-over-median overhead exceeds the budget or the schedules differ.
+The probe's last recorded session can be written out as a Chrome trace
+(``--batch-trace-out``) and a Prometheus exposition dump
+(``--batch-prom-out``) for CI artifacts.  The tracked
 baseline at the repo root (``BENCH_schedulers.json``) is produced by
 this same script at the pinned config and diffed by
 ``repro bench-compare``.
@@ -84,17 +84,15 @@ def run(
     if max_telemetry_overhead_pct is not None:
         requests = _batch_requests(mesh, size, benchmarks, seed)
         tele, session = overhead_probe(
-            lambda instrument: schedule_many(
-                requests, workers=2, instrument=instrument
-            ),
+            lambda instrument: schedule_many(requests, instrument=instrument),
             repeats,
         )
         report["batch_telemetry"] = tele
         print(
-            f"batch telemetry overhead (workers=2, medians): "
+            f"batch telemetry overhead (medians): "
             f"{tele['overhead_pct']:.1f}% "
             f"({tele['dark_median_s'] * 1e3:.1f} ms dark / "
-            f"{tele['instrumented_median_s'] * 1e3:.1f} ms harvested)"
+            f"{tele['instrumented_median_s'] * 1e3:.1f} ms recorded)"
         )
         if not tele["bit_identical"]:
             print(
@@ -112,7 +110,7 @@ def run(
             failed = True
         if batch_trace_out is not None:
             batch_trace_out.write_text(render_chrome(session) + "\n")
-            print(f"wrote merged chrome trace to {batch_trace_out}")
+            print(f"wrote chrome trace to {batch_trace_out}")
         if batch_prom_out is not None:
             batch_prom_out.write_text(to_prometheus(session) + "\n")
             print(f"wrote prometheus dump to {batch_prom_out}")
@@ -155,18 +153,18 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-telemetry-overhead-pct", type=float, default=None,
-        help="probe a workers=2 GOMCDS batch dark vs under worker-span "
-        "harvesting; exit 1 if the median-over-median overhead exceeds "
-        "this percentage or the schedules differ",
+        help="probe a GOMCDS schedule_many batch dark vs recorded; exit 1 "
+        "if the median-over-median overhead exceeds this percentage or "
+        "the schedules differ",
     )
     parser.add_argument(
         "--batch-trace-out", type=Path, default=None, metavar="PATH",
-        help="write the probe's harvested batch session as a merged Chrome "
-        "trace (needs --max-telemetry-overhead-pct)",
+        help="write the probe's recorded batch session as a Chrome trace "
+        "(needs --max-telemetry-overhead-pct)",
     )
     parser.add_argument(
         "--batch-prom-out", type=Path, default=None, metavar="PATH",
-        help="write the probe's harvested batch metrics in Prometheus "
+        help="write the probe's recorded batch metrics in Prometheus "
         "exposition format (needs --max-telemetry-overhead-pct)",
     )
     args = parser.parse_args(argv)

@@ -5,7 +5,7 @@ wall time grows along the three problem axes.  GOMCDS is O(D·W·m²) —
 vectorized across data when unconstrained — so the array-size axis is
 its steepest; SCDS is one matmul + argmin and should stay near-flat.
 
-The batch benches time the engine itself: one ``schedule_many`` fan-out
+The batch benches time the engine itself: one ``schedule_many`` batch
 of the GOMCDS suite (vectorized solvers, shared solve cache) against a
 sequential baseline composed from the scalar test references
 (:mod:`repro.core.kernels`) — the two produce bit-identical centers
@@ -109,7 +109,7 @@ def _same_centers(scalar, batched):
 def bench_batch_gomcds_suite(benchmark):
     """The batched GOMCDS suite (the engine's fast path)."""
     requests = _suite_requests(n=8)
-    benchmark(schedule_many, requests, workers=1)
+    benchmark(schedule_many, requests)
 
 
 def bench_sequential_scalar_suite(benchmark):
@@ -158,7 +158,7 @@ def main(argv=None):
         return [_scalar_gomcds(r) for r in requests]
 
     def batched():
-        return schedule_many(requests, workers=1)
+        return schedule_many(requests)
 
     if not _same_centers(sequential(), batched()):
         print("FAIL: batched centers differ from the scalar references")

@@ -36,7 +36,7 @@ def main() -> None:
     costs = model.all_placement_costs(tensor)[hot]
     print(f"hottest datum: id {hot} = element "
           f"{np.unravel_index(hot, workload.data_shape)}")
-    # one batched fan-out solves all three algorithms (docs/performance.md)
+    # one batch solves all three algorithms (docs/performance.md)
     names = ("SCDS", "LOMCDS", "GOMCDS")
     solved = schedule_many(
         [ScheduleRequest(tensor, model, algorithm=n) for n in names]

@@ -191,15 +191,13 @@ def run_table1(
     capacity_multiplier: float = 2.0,
     seed: int = 1998,
     *,
-    workers: int = 1,
     cache: SolveCache | None = None,
 ) -> Table:
     """Table 1: total communication cost *before* grouping.
 
-    All ``len(benchmarks) x len(sizes) x 3`` solves fan out through
-    :func:`repro.schedule_many`, so ``workers``/``cache`` accelerate the
-    table without changing a single cell (batch results are ordering-
-    deterministic).
+    All ``len(benchmarks) x len(sizes) x 3`` solves go through one
+    :func:`repro.schedule_many` batch, so a shared ``cache`` answers
+    repeats without changing a single cell.
     """
     table = Table(
         title=f"Table 1: total communication cost before grouping "
@@ -220,7 +218,7 @@ def run_table1(
         for bench, n, inst, _sf in instances
         for name in SCHEDULER_NAMES
     ]
-    schedules = iter(schedule_many(requests, workers=workers, cache=cache))
+    schedules = iter(schedule_many(requests, cache=cache))
     for bench, n, inst, sf in instances:
         results = tuple(
             _result(name, next(schedules), inst.tensor, inst.model, sf)
@@ -239,7 +237,6 @@ def run_table2(
     capacity_multiplier: float = 2.0,
     seed: int = 1998,
     *,
-    workers: int = 1,
     cache: SolveCache | None = None,
 ) -> Table:
     """Table 2: total communication cost *after* window grouping.
@@ -251,8 +248,8 @@ def run_table2(
     cost-graph over the grouped windows.
 
     The SCDS column (the only registry algorithm here — the grouped
-    columns go through :func:`~repro.core.grouped_schedule`) fans out via
-    :func:`repro.schedule_many`; with a shared ``cache`` it is answered
+    columns go through :func:`~repro.core.grouped_schedule`) is solved as
+    one :func:`repro.schedule_many` batch; with a shared ``cache`` it is answered
     from Table 1's identical solves without re-running anything.
     """
     table = Table(
@@ -275,7 +272,6 @@ def run_table2(
                 )
                 for bench, n, inst, _sf in instances
             ],
-            workers=workers,
             cache=cache,
         )
     )

@@ -15,7 +15,7 @@ Usage::
         --trace t.npz] [--faults plan.json] [--format human|json|sarif]
     python -m repro profile [--workload suite|lu|fft|...] [--spatial] \
         [--format summary|jsonl|chrome|prometheus] [--output trace.json]
-    python -m repro batch [--workers 4] [--telemetry batch.jsonl]
+    python -m repro batch [--cache-dir DIR] [--telemetry batch.jsonl]
     python -m repro tail telemetry.jsonl [-n 20] [--kind cache.]
     python -m repro heatmap [--bench 1 --size 16] [--scheduler GOMCDS]
     python -m repro bench-compare [--baseline BENCH_schedulers.json] \
@@ -99,10 +99,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--fast", action="store_true",
         help="small sizes only (8, 16) for a quick run",
     )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the batched solves (docs/performance.md)",
-    )
 
 
 def _scheduler_name(name: str) -> str:
@@ -179,18 +175,19 @@ def _render_rows(rows: list[dict]) -> str:
         return "(no rows)"
     keys = list(rows[0].keys())
     widths = {
-        k: max(len(str(k)), *(len(_fmt(r[k])) for r in rows)) for k in keys
+        k: max(len(str(k)), *(len(_fmt(r[k], k)) for r in rows)) for k in keys
     }
     header = "  ".join(f"{k:>{widths[k]}}" for k in keys)
     lines = [header, "-" * len(header)]
     for r in rows:
-        lines.append("  ".join(f"{_fmt(r[k]):>{widths[k]}}" for k in keys))
+        lines.append("  ".join(f"{_fmt(r[k], k):>{widths[k]}}" for k in keys))
     return "\n".join(lines)
 
 
-def _fmt(value) -> str:
+def _fmt(value, key: str | None = None) -> str:
     if isinstance(value, float):
-        return f"{value:.1f}"
+        # a capacity multiplier is an exact input: 1.25, not 1.2
+        return str(value) if key == "multiplier" else f"{value:.1f}"
     return str(value)
 
 
@@ -253,8 +250,8 @@ def _add_batch_parser(add_parser) -> None:
     parser = add_parser(
         "batch",
         help="solve a benchmark suite through the batch engine: "
-        "content-addressed dedup, shared solve cache, optional worker "
-        "fan-out (docs/performance.md)",
+        "content-addressed dedup and a shared solve cache "
+        "(docs/performance.md)",
     )
     parser.set_defaults(run=_run_batch)
     parser.add_argument(
@@ -275,10 +272,6 @@ def _add_batch_parser(add_parser) -> None:
         metavar="NAME", help="algorithms to solve each instance with",
     )
     parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the fan-out (1 = in-process)",
-    )
-    parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="persist solved schedules to this directory; later runs "
         "with identical inputs hit the disk cache",
@@ -290,9 +283,9 @@ def _add_batch_parser(add_parser) -> None:
     parser.add_argument("--seed", type=int, default=1998)
     parser.add_argument(
         "--telemetry", metavar="PATH", default=None,
-        help="write the merged batch telemetry (spans from every worker, "
-        "whole-batch metrics, flight-recorder events) to PATH as "
-        "JSON-lines; render it with 'repro tail'",
+        help="write the batch telemetry (spans, whole-batch metrics, "
+        "flight-recorder events) to PATH as JSON-lines; render it with "
+        "'repro tail'",
     )
     parser.add_argument(
         "--format", choices=("human", "json"), default="human",
@@ -327,13 +320,11 @@ def _run_batch(args) -> int:
                 )
                 meta.append((name, instance))
     cache = SolveCache(disk_dir=args.cache_dir)
-    # the batch CLI always records: the merged registry is the source of
-    # the cache summary, and --telemetry exports the whole session
+    # the batch CLI always records: the session's registry is the source
+    # of the cache summary, and --telemetry exports the whole session
     instr = active() if active().enabled else Instrumentation.started()
     t0 = perf_counter()
-    schedules = schedule_many(
-        requests, workers=args.workers, cache=cache, instrument=instr,
-    )
+    schedules = schedule_many(requests, cache=cache, instrument=instr)
     elapsed = perf_counter() - t0
     rows = [
         {
@@ -368,7 +359,6 @@ def _run_batch(args) -> int:
                 {
                     "kind": "batch_report",
                     "n_requests": len(requests),
-                    "workers": args.workers,
                     "elapsed_s": elapsed,
                     "rows": rows,
                     "cache": stats,
@@ -380,10 +370,7 @@ def _run_batch(args) -> int:
         )
     else:
         print(_render_rows(rows))
-        print(
-            f"{len(requests)} request(s) in {elapsed:.3f}s "
-            f"(workers={args.workers})"
-        )
+        print(f"{len(requests)} request(s) in {elapsed:.3f}s")
         print(
             f"cache: {hits:g} hit(s), {misses:g} miss(es), "
             f"{hit_rate:.1f}% hit rate, {dedup_saves:g} dedup save(s), "
@@ -1409,7 +1396,6 @@ def _run_table(runner, args) -> int:
         mesh=tuple(args.mesh),
         capacity_multiplier=args.capacity_multiplier,
         seed=args.seed,
-        workers=args.workers,
     )
     print(render_table(table))
     return EXIT_OK

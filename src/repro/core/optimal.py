@@ -17,8 +17,10 @@ This gives (a) a certified optimum to measure SCDS's greedy gap against
 match unconstrained SCDS exactly.
 
 The *multi-window* problem with movement does not reduce to assignment
-(consecutive windows couple through relocation costs); there the
-unconstrained GOMCDS cost remains the usable lower bound.
+(consecutive windows couple through relocation costs).  Its lower bound
+comes from :func:`~repro.core.gomcds.priced_gomcds`, a Lagrangian bound
+that starts from no prices, so it is never below the unconstrained
+GOMCDS cost.
 """
 
 from __future__ import annotations

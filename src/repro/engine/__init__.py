@@ -1,11 +1,11 @@
-"""The batch solving engine: cache and fan-out.
+"""The batch solving engine: content-addressed cache and batch solves.
 
 This package is the throughput layer over :func:`repro.schedule`:
 
 * :mod:`repro.engine.cache` content-addresses solve requests so equal
   problems are solved once (in memory, optionally on disk);
-* :mod:`repro.engine.pool` fans batches out over a process pool with
-  deterministic, worker-count-independent result ordering.
+* :mod:`repro.engine.pool` solves a batch of requests inline, deduped
+  and cached, returning results in request order.
 
 See ``docs/performance.md`` for the full story.
 """

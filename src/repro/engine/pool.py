@@ -1,54 +1,31 @@
-"""Batch fan-out: solve many scheduling requests as one operation.
+"""Batch solving: many scheduling requests as one operation.
 
 ``schedule_many`` is the throughput face of the :func:`repro.schedule`
 facade.  It takes a list of :class:`ScheduleRequest` descriptions and
-returns one schedule per request, in request order, with three
+returns one schedule per request, in request order, with two
 optimizations stacked underneath:
 
 * **dedup** — requests that canonicalize to the same content address
   (:func:`repro.engine.cache.solve_key`) are solved once;
 * **cache** — an optional shared :class:`~repro.engine.cache.SolveCache`
   answers repeats across batches (and across processes, via its disk
-  store) without running a solver;
-* **fan-out** — remaining unique solves dispatch over a process pool
-  when ``workers > 1``.
+  store) without running a solver.
 
-Result ordering is deterministic and *independent of worker count*:
-outputs are keyed by content address and re-assembled in request order,
-so ``workers=8`` returns exactly what ``workers=1`` returns.
-
-Telemetry is harvested across the process boundary: when the parent
-runs under a recording :class:`~repro.obs.Instrumentation`, each pool
-worker solves with its *own* recording session, flattens it into a
-picklable :class:`~repro.obs.TelemetrySnapshot` (spans, counters,
-histograms, flight-recorder events) returned alongside the result, and
-the parent merges every snapshot back with per-worker ``worker``/
-``worker_pid`` attribution — one unified timeline, whole-batch
-``engine.cache.*`` counters.  Telemetry never changes schedules: the
-worker session is observational and the cache key excludes
-``instrument`` by construction.  The inline path and every pool
-worker run one per-request protocol (``_run_request``), and both record
-the same ``engine.*`` counter set, so summaries are comparable across
-worker counts.
+The remaining unique solves run one after another in the caller's
+process, under the caller's instrumentation session, so a recording
+session sees every solver span, counter and decision log directly.
+Telemetry never changes schedules: the cache key excludes
+``instrument`` by construction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Mapping, Sequence
 
 from ..core import Schedule
-from ..obs import (
-    NOOP,
-    Instrumentation,
-    flight_recorder,
-    merge_snapshot,
-    record_event,
-    resolve,
-    snapshot,
-)
+from ..obs import Instrumentation, record_event, resolve
 from ..obs.recorder import dump_on_error
 from .cache import SolveCache, solve_key
 
@@ -86,10 +63,10 @@ class ScheduleRequest:
 def _run_request(request: ScheduleRequest, obs):
     """Solve one request under the per-request protocol; ``(schedule, elapsed)``.
 
-    The inline path and the pool workers both run this, so every solve
-    records a ``solve.start``/``solve.end`` flight-event pair, one
-    ``engine.request`` span around the :func:`repro.schedule` call, and
-    stamps the request label onto the decision logs the solve added.
+    Every solve records a ``solve.start``/``solve.end`` flight-event
+    pair, one ``engine.request`` span around the :func:`repro.schedule`
+    call, and stamps the request label onto the decision logs the solve
+    added.
     """
     from ..api import schedule
 
@@ -114,32 +91,6 @@ def _run_request(request: ScheduleRequest, obs):
     return solved, elapsed
 
 
-def _solve_in_worker(
-    request: ScheduleRequest,
-    collect: bool,
-    provenance: bool = False,
-):
-    """Pool-worker entry: :func:`_run_request`, optionally harvesting telemetry.
-
-    With ``collect`` the solve runs under a fresh recording session —
-    solver phase spans, counters, decision logs (when the parent session
-    records provenance) and the worker's flight-recorder events for
-    *this task* are flattened into a snapshot and shipped home with the
-    result.  Handles never cross the boundary; snapshots do.  Without
-    it the solve runs dark and its events stay in the worker's ring.
-    """
-    if not collect:
-        return (*_run_request(request, NOOP), None)
-    instr = Instrumentation.started(provenance=provenance)
-    ring = flight_recorder()
-    watermark = ring.next_seq
-    solved, elapsed = _run_request(request, instr)
-    snap = snapshot(
-        instr, label=request.label, events=ring.events_since(watermark)
-    )
-    return solved, elapsed, snap
-
-
 def schedule_many(
     requests: Sequence[ScheduleRequest],
     *,
@@ -147,23 +98,22 @@ def schedule_many(
     cache: SolveCache | None = None,
     instrument: Instrumentation | None = None,
 ) -> list[Schedule]:
-    """Solve every request, in order, with dedup + cache + fan-out.
+    """Solve every request, in order, with dedup + cache.
 
     Parameters
     ----------
     requests:
         The batch; duplicates (same content address) are solved once.
     workers:
-        Process-pool width for the unique cache misses.  ``1`` (the
-        default) solves inline; any value returns identical results.
+        Accepted for compatibility and ignored: every unique cache miss
+        is solved inline, in this process.  Must still be ``>= 1``.
     cache:
         Optional shared :class:`SolveCache`.  When given, results are
         the cache's deep-frozen copies (read-only arrays) and repeats
         across calls are answered without solving.
     instrument:
-        Parent-side instrumentation; counters land under ``engine.*``
-        and, when recording, worker telemetry is harvested and merged
-        with per-worker attribution (``docs/observability.md``).
+        Instrumentation session; counters land under ``engine.*`` and
+        every solve records into it (``docs/observability.md``).
 
     Returns
     -------
@@ -183,29 +133,20 @@ def schedule_many(
         return []
 
     with obs.span(
-        "engine.batch",
-        n_requests=len(requests),
-        workers=workers,
-        cached=cache is not None,
+        "engine.batch", n_requests=len(requests), cached=cache is not None
     ):
-        record_event(
-            "batch.start", n_requests=len(requests), workers=workers
-        )
+        record_event("batch.start", n_requests=len(requests))
         keys = [request.solve_key() for request in requests]
         solved: dict[str, Schedule] = {}
-        pending: list[tuple[str, ScheduleRequest]] = []
-        pending_keys: set[str] = set()
+        pending: dict[str, ScheduleRequest] = {}  # unique misses, in order
         for key, request in zip(keys, requests):
-            if key in solved or key in pending_keys:
+            if key in solved or key in pending:
                 continue
             hit = cache.get(key, instrument=obs) if cache is not None else None
             if hit is not None:
                 solved[key] = hit
             else:
-                pending.append((key, request))
-                pending_keys.add(key)
-        # the same counter set is recorded on the inline and pooled
-        # paths, so summaries are comparable across worker counts
+                pending[key] = request
         obs.count("engine.batch.requests", len(requests))
         obs.count(
             "engine.batch.dedup_hits",
@@ -213,26 +154,14 @@ def schedule_many(
         )
         obs.count("engine.pool.requests", len(pending))
         obs.count("engine.pool.dedup_hits", len(requests) - len(pending))
-        inline = workers == 1 or len(pending) <= 1
-        obs.gauge("engine.pool.workers", 1 if inline else workers)
         obs.gauge("engine.pool.queue_depth", len(pending))
 
-        try:
-            if inline:
-                outcomes = [
-                    _run_request(request, obs) for _, request in pending
-                ]
-            else:
-                outcomes = _run_pool(pending, workers, obs)
-        except Exception:
-            dump_on_error(
-                f"schedule_many({len(requests)} requests, workers={workers})"
-            )
-            raise
-
-        for (key, request), (schedule_result, elapsed) in zip(
-            pending, outcomes
-        ):
+        for key, request in pending.items():
+            try:
+                schedule_result, elapsed = _run_request(request, obs)
+            except Exception:
+                dump_on_error(f"schedule_many({len(requests)} requests)")
+                raise
             obs.observe("engine.request_us", elapsed * 1e6)
             if cache is not None:
                 schedule_result = cache.put(
@@ -244,31 +173,3 @@ def schedule_many(
             "batch.end", n_requests=len(requests), solved=len(pending)
         )
     return [solved[key] for key in keys]
-
-
-def _run_pool(pending, workers, obs):
-    """Fan the unique solves over a process pool; ``(schedule, elapsed)`` pairs.
-
-    When ``obs`` records, each worker returns one
-    :class:`~repro.obs.TelemetrySnapshot` per solve, merged here with a
-    stable per-worker lane id (first-seen order of worker pids).
-    """
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(
-                _solve_in_worker,
-                request,
-                obs.enabled,
-                obs.provenance.recording,
-            )
-            for _, request in pending
-        ]
-        results = [future.result() for future in futures]
-    lanes: dict[int, int] = {}  # worker pid -> stable worker id
-    outcomes = []
-    for solved, elapsed, snap in results:
-        if snap is not None:
-            worker_id = lanes.setdefault(snap.pid, len(lanes) + 1)
-            merge_snapshot(obs, snap, worker_id=worker_id)
-        outcomes.append((solved, elapsed))
-    return outcomes

@@ -40,7 +40,6 @@ from .recorder import (
     flight_recorder,
     record_event,
 )
-from .remote import TelemetrySnapshot, merge_snapshot, snapshot
 from .export import (
     EXPORT_FORMATS,
     chrome_trace,
@@ -77,10 +76,6 @@ __all__ = [
     "to_prometheus",
     "write_export",
     "EXPORT_FORMATS",
-    # cross-process telemetry (docs/observability.md)
-    "TelemetrySnapshot",
-    "snapshot",
-    "merge_snapshot",
     "FlightRecorder",
     "flight_recorder",
     "record_event",

@@ -9,10 +9,7 @@ Four consumers, four formats:
   the format written by the CLI's ``--metrics <path>`` flag;
 * :func:`chrome_trace` — the Chrome trace-event format (`ph: "X"`
   complete events for spans, ``ph: "C"`` counter series for timestamped
-  histogram samples) loadable in ``chrome://tracing`` and Perfetto.
-  Spans merged from pool workers (``repro.obs.remote``) carry
-  ``worker``/``worker_pid`` attribution and are laid out one ``tid``
-  lane per worker, named via ``thread_name`` metadata events;
+  histogram samples) loadable in ``chrome://tracing`` and Perfetto;
 * :func:`to_prometheus` — the Prometheus exposition text format:
   counters as ``*_total``, gauges verbatim, histograms as summaries
   with exact ``quantile`` series (we keep raw samples) or, given bucket
@@ -203,36 +200,6 @@ def to_jsonl(instrument: Instrumentation, results=()) -> str:
     return "\n".join(json.dumps(rec, sort_keys=True) for rec in records)
 
 
-def _worker_lanes(spans) -> dict:
-    """Deterministic ``(worker, worker_pid) -> tid`` lane assignment.
-
-    The full set of worker keys is collected first and sorted (``None``
-    last within each slot), then numbered ``1, 2, ...`` — so the lane a
-    worker lands on depends only on its identity, never on which
-    harvested snapshot happened to arrive first.
-    """
-    keys = set()
-    for span in spans:
-        wid = span.attrs.get("worker")
-        wpid = span.attrs.get("worker_pid")
-        if wid is None and wpid is None:
-            continue
-        keys.add((wid, wpid))
-
-    def order(key):
-        wid, wpid = key
-        return (
-            wid is None,
-            wid if isinstance(wid, (int, float)) else 0,
-            str(wid),
-            wpid is None,
-            wpid if isinstance(wpid, (int, float)) else 0,
-            str(wpid),
-        )
-
-    return {key: tid for tid, key in enumerate(sorted(keys, key=order), 1)}
-
-
 def chrome_trace(instrument: Instrumentation, results=()) -> dict:
     """Chrome trace-event JSON object (``chrome://tracing`` / Perfetto).
 
@@ -241,14 +208,7 @@ def chrome_trace(instrument: Instrumentation, results=()) -> dict:
     series (``ph: "C"``), which Perfetto renders as per-window charts —
     this is where the replay's per-window hop metrics surface.  Result
     objects ride along as instant events at the end of the trace.
-
-    Spans harvested from pool workers (attrs ``worker``/``worker_pid``,
-    attached by :func:`repro.obs.remote.merge_snapshot`) are rendered on
-    their own ``tid`` lane — one per worker, named by ``thread_name``
-    metadata — so a multi-process batch reads as a single timeline.
-    Lane numbers are assigned from the *sorted* set of worker keys, not
-    harvest arrival order, so the same batch always renders the same
-    trace regardless of which worker finished first.
+    Every span is on one lane, ``tid`` 0.
     """
     events = [
         {
@@ -270,16 +230,9 @@ def chrome_trace(instrument: Instrumentation, results=()) -> dict:
             "args": {"name": "main"},
         },
     ]
-    lanes = _worker_lanes(instrument.tracer.spans)
     last_ts = 0.0
     for span in instrument.tracer.spans:
         last_ts = max(last_ts, span.start_us + span.duration_us)
-        wid = span.attrs.get("worker")
-        wpid = span.attrs.get("worker_pid")
-        if wid is None and wpid is None:
-            tid = 0
-        else:
-            tid = lanes[(wid, wpid)]
         events.append(
             {
                 "name": span.name,
@@ -288,23 +241,8 @@ def chrome_trace(instrument: Instrumentation, results=()) -> dict:
                 "ts": span.start_us,
                 "dur": span.duration_us,
                 "pid": 0,
-                "tid": tid,
+                "tid": 0,
                 "args": _jsonable(span.attrs),
-            }
-        )
-    for (wid, wpid), tid in lanes.items():
-        label = f"worker {wid}" if wid is not None else "worker"
-        if wpid is not None:
-            label += f" (pid {wpid})"
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": tid,
-                "ts": 0,
-                "cat": "__metadata",
-                "args": {"name": label},
             }
         )
     for hist in instrument.metrics.histograms.values():

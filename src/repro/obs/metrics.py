@@ -153,33 +153,5 @@ class MetricsRegistry:
         records += [h.to_dict() for h in self.histograms.values()]
         return records
 
-    def merge(
-        self,
-        counters=(),
-        gauges=(),
-        histograms=(),
-        ts_offset_us: float = 0.0,
-    ) -> None:
-        """Fold serialized instrument values into this registry.
-
-        The arguments are the flat shapes a
-        :class:`~repro.obs.remote.TelemetrySnapshot` carries across the
-        process boundary: ``(name, value)`` pairs for counters (summed)
-        and gauges (last write wins), ``(name, samples, timestamps)``
-        triples for histograms.  Histogram timestamps are shifted by
-        ``ts_offset_us`` so a worker's samples land on the merged
-        timeline; stamp-less samples stay stamp-less.
-        """
-        for name, value in counters:
-            self.counter(name).inc(value)
-        for name, value in gauges:
-            self.gauge(name).set(value)
-        for name, samples, timestamps in histograms:
-            hist = self.histogram(name)
-            for value, ts in zip(samples, timestamps):
-                hist.observe(
-                    value, ts=None if ts is None else ts + ts_offset_us
-                )
-
     def __len__(self) -> int:
         return len(self.counters) + len(self.gauges) + len(self.histograms)

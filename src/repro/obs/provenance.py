@@ -28,8 +28,7 @@ the session's store, False on ``NOOP`` and on sessions started without
 Solves derive their logs with :func:`derive_decisions` (vectorized);
 :func:`derive_decisions_python` (scalar loops) is its bit-identical test
 reference, run on a solve's recorded inputs.  Logs are plain dataclasses
-of ndarrays, so they pickle across process boundaries and ride home in a
-:class:`~repro.obs.remote.TelemetrySnapshot`.
+of ndarrays.
 """
 
 from __future__ import annotations
@@ -491,11 +490,6 @@ class ProvenanceStore:
             n_data=log.n_data,
             n_windows=log.n_windows,
         )
-
-    def adopt(self, log: DecisionLog) -> None:
-        """Store a log harvested from a worker snapshot (its worker
-        already flight-recorded the solve; the event merges separately)."""
-        self.logs.append(log)
 
     def clear(self) -> None:
         self.logs.clear()

@@ -14,10 +14,6 @@ are opt-in and scoped — the recorder is process-global and *always on*:
 is otherwise dark.  Events are deliberately coarse (per solve, per cache
 operation, per recovery cycle — never per window or per hop), so the
 always-on cost stays far below the probe-overhead budget.
-
-Worker processes record into their own ring; the batch engine snapshots
-it (:mod:`repro.obs.remote`) and merges worker events into the parent's
-ring with ``worker``/``worker_pid`` attribution.
 """
 
 from __future__ import annotations
@@ -114,19 +110,6 @@ class FlightRecorder:
             self.dropped += 1
         self._events.append(event)
         return event
-
-    def append(self, event: dict) -> None:
-        """Adopt an already-built event (merged worker telemetry).
-
-        The event keeps its own payload; ``seq`` is re-stamped on the
-        receiving ring so ordering stays consistent locally.
-        """
-        adopted = dict(event)
-        adopted["seq"] = self._seq
-        self._seq += 1
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(adopted)
 
     @property
     def next_seq(self) -> int:

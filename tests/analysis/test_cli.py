@@ -164,6 +164,14 @@ def test_all_ablation_commands(capsys):
         assert out.strip(), command
 
 
+def test_ablation_memory_prints_the_multiplier_in_full(capsys):
+    out = run(capsys, "ablation-memory")
+    multipliers = [line.split()[0] for line in out.splitlines()[2:]]
+    assert multipliers == ["1.0", "1.25", "1.5", "2.0", "4.0"]
+    # measured cells keep their one-decimal format
+    assert "-33.1" in out.splitlines()[2].split()
+
+
 def test_metrics_flag_records_any_subcommand(tmp_path, capsys):
     import json
 
@@ -318,7 +326,7 @@ def test_batch_telemetry_flag_writes_merged_session(tmp_path, capsys):
     path = tmp_path / "batch.jsonl"
     out = run(
         capsys,
-        "batch", "--benchmarks", "1", "--sizes", "8", "--workers", "2",
+        "batch", "--benchmarks", "1", "--sizes", "8",
         "--schedulers", "SCDS", "GOMCDS", "--telemetry", str(path),
     )
     assert f"wrote telemetry to {path}" in out
@@ -327,8 +335,8 @@ def test_batch_telemetry_flag_writes_merged_session(tmp_path, capsys):
     assert {"span", "counter", "event"} <= types
     spans = [r for r in records if r["type"] == "span"]
     assert any(r["name"] == "engine.batch" for r in spans)
-    # worker spans carry attribution after the merge
-    assert any(r["attrs"].get("worker_pid") for r in spans)
+    # the solver spans of both requests land in the one session
+    assert sum(r["name"] == "engine.request" for r in spans) == 2
     kinds = {r["kind"] for r in records if r["type"] == "event"}
     assert {"batch.start", "solve.start", "batch.end"} <= kinds
 
@@ -344,6 +352,15 @@ def test_batch_json_output_carries_merged_counters(capsys):
     payload = json.loads(out)
     assert payload["metrics"]["engine.batch.requests"] == 1
     assert payload["metrics"]["engine.cache.misses"] == 1
+    assert "workers" not in payload
+
+
+@pytest.mark.parametrize("command", ["table1", "table2", "batch"])
+def test_workers_flag_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_tail_renders_telemetry_events(tmp_path, capsys):

@@ -10,6 +10,7 @@ from repro.grid import Mesh2D
 from repro.mem import CapacityPlan
 from repro.trace import build_reference_tensor
 from repro.workloads import benchmark as make_benchmark
+from tests.cost_helpers import count_cost_builds
 
 TOPO = Mesh2D(4, 4)
 
@@ -47,12 +48,23 @@ def test_results_match_sequential_facade():
 
 @pytest.mark.parametrize("workers", [2, 8])
 def test_deterministic_across_worker_counts(workers):
+    # ``workers`` is accepted and ignored: every count solves inline
     requests = _suite()
     baseline = schedule_many(requests, workers=1)
-    fanned = schedule_many(requests, workers=workers)
-    assert len(fanned) == len(baseline)
-    for a, b in zip(baseline, fanned):
+    other = schedule_many(requests, workers=workers)
+    assert len(other) == len(baseline)
+    for a, b in zip(baseline, other):
         assert np.array_equal(a.centers, b.centers)
+        assert a.method == b.method
+
+
+def test_batch_builds_the_cost_tensor_once_per_instance(monkeypatch):
+    requests = _suite(benchmarks=(1,), algorithms=("SCDS", "LOMCDS", "GOMCDS"))
+    builds = count_cost_builds(monkeypatch)
+    schedule_many(requests, workers=2)
+    # the three solves share one (D, W, m) tensor through the memo
+    assert len(builds) == 1
+    assert builds[0] is requests[0].tensor
 
 
 def test_order_matches_request_order():

@@ -74,6 +74,7 @@ def test_chrome_trace_structure():
     assert {e["name"] for e in spans} == {"outer", "inner"}
     for e in spans:
         assert e["ts"] >= 0 and e["dur"] >= 0
+        assert e["tid"] == 0  # one lane: every span runs in this process
     counters = [e for e in events if e["ph"] == "C"]
     assert [e["args"]["value"] for e in counters] == [5.0, 9.0]
     assert trace["otherData"]["counters"]["events"] == 3.0
@@ -177,49 +178,6 @@ def test_chrome_trace_caps_link_series():
     assert trace["otherData"]["spatial_links_not_exported"] == (
         48 - CHROME_LINK_SERIES_CAP
     )
-
-
-def _worker_session(order):
-    """A session whose worker spans arrive in the given (wid, pid) order."""
-    instr = Instrumentation.started()
-    with instr.span("main.phase"):
-        pass
-    for wid, pid in order:
-        with instr.span("engine.request", worker=wid, worker_pid=pid):
-            pass
-    return instr
-
-
-def test_chrome_trace_worker_lanes_are_deterministic():
-    # same workers, different harvest arrival order -> identical lanes
-    arrival_a = [(2, 222), (1, 111), (3, 333)]
-    arrival_b = [(3, 333), (1, 111), (2, 222)]
-
-    def lane_map(instr):
-        events = chrome_trace(instr)["traceEvents"]
-        lanes = {}
-        for e in events:
-            if e["ph"] == "X" and "worker" in e["args"]:
-                lanes[e["args"]["worker"]] = e["tid"]
-        names = {
-            e["tid"]: e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
-        return lanes, names
-
-    lanes_a, names_a = lane_map(_worker_session(arrival_a))
-    lanes_b, names_b = lane_map(_worker_session(arrival_b))
-    assert lanes_a == lanes_b == {1: 1, 2: 2, 3: 3}
-    assert names_a == names_b
-    assert names_a[1] == "worker 1 (pid 111)"
-    # the main lane stays tid 0
-    main = next(
-        e
-        for e in chrome_trace(_worker_session(arrival_a))["traceEvents"]
-        if e["ph"] == "X" and e["name"] == "main.phase"
-    )
-    assert main["tid"] == 0
 
 
 def test_summary_and_jsonl_surface_decision_logs():

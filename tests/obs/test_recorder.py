@@ -40,16 +40,6 @@ def test_events_since_slices_one_tasks_events():
     assert ring.events_since(ring.next_seq) == []
 
 
-def test_append_adopts_and_restamps_seq():
-    ring = FlightRecorder()
-    ring.record("local")
-    ring.append({"seq": 99, "kind": "remote", "worker": 1})
-    events = ring.events()
-    assert [e["seq"] for e in events] == [0, 1]
-    assert events[1]["kind"] == "remote"
-    assert events[1]["worker"] == 1
-
-
 def test_tail_returns_most_recent_first_in_order():
     ring = FlightRecorder()
     for i in range(5):

@@ -21,7 +21,6 @@ SURFACE = {
     "table1 --capacity-multiplier": (2.0, "float", None, None, "_StoreAction"),
     "table1 --seed": (1998, "int", None, None, "_StoreAction"),
     "table1 --fast": (False, None, None, 0, "_StoreTrueAction"),
-    "table1 --workers": (1, "int", None, None, "_StoreAction"),
     "table2 -h/--help": ("==SUPPRESS==", None, None, 0, "_HelpAction"),
     "table2 --metrics": (None, None, None, None, "_StoreAction"),
     "table2 --sizes": ([8, 16, 32], "int", None, "+", "_StoreAction"),
@@ -30,7 +29,6 @@ SURFACE = {
     "table2 --capacity-multiplier": (2.0, "float", None, None, "_StoreAction"),
     "table2 --seed": (1998, "int", None, None, "_StoreAction"),
     "table2 --fast": (False, None, None, 0, "_StoreTrueAction"),
-    "table2 --workers": (1, "int", None, None, "_StoreAction"),
     "figure1 -h/--help": ("==SUPPRESS==", None, None, 0, "_HelpAction"),
     "figure1 --metrics": (None, None, None, None, "_StoreAction"),
     "extended -h/--help": ("==SUPPRESS==", None, None, 0, "_HelpAction"),
@@ -71,7 +69,6 @@ SURFACE = {
         "+",
         "_StoreAction",
     ),
-    "batch --workers": (1, "int", None, None, "_StoreAction"),
     "batch --cache-dir": (None, None, None, None, "_StoreAction"),
     "batch --capacity-multiplier": (2.0, "float", None, None, "_StoreAction"),
     "batch --seed": (1998, "int", None, None, "_StoreAction"),
