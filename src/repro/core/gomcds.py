@@ -308,6 +308,59 @@ def _walk_paths(
     return centers, potentials, masks
 
 
+def _claim_walk(tracker, order, guess, *, base=None, masks=None):
+    """Claim each datum's path in ``order``, one bulk claim per conflict.
+
+    ``guess(rows, mask)`` returns the ``(len(rows), W)`` paths of the
+    data ``rows`` chosen under the admissible ``(W, m)`` mask, raising
+    :class:`CapacityError` when one has none; its first call has
+    ``rows=None``, every datum in index order.  Each batch claims the
+    longest prefix of the remaining guesses that still fits
+    (:meth:`~repro.mem.OccupancyTracker.claim_paths`), then re-guesses,
+    under the mask those claims left, every remaining datum whose guess
+    touches a cell no longer admissible.  A guess made under a superset
+    of a datum's turn mask whose every cell is admissible at its turn is
+    what the turn itself would choose (see "Exact speculative walk" in
+    ``docs/algorithms.md``), so the claims are the sequential walk's.
+    The mask is ``base & tracker.available_mask()`` (``base`` may be
+    absent); ``masks`` (when given) receives each datum's turn mask.
+
+    Returns ``(centers, batches, resolved)``: the claimed ``(D, W)``
+    paths, the guess calls and the data re-guessed after the first.
+    """
+
+    def current_mask():
+        available = tracker.available_mask()
+        return available if base is None else base & available
+
+    def claim(start):
+        """Claim from row ``start`` of ``paths`` on; the rows claimed."""
+        if masks is None:
+            return tracker.claim_paths(paths[start:], base=base)
+        turns = np.empty((len(order) - start, *masks.shape[1:]), dtype=bool)
+        claimed = tracker.claim_paths(paths[start:], base=base, masks=turns)
+        masks[order[start : start + claimed]] = turns[:claimed]
+        return claimed
+
+    order = np.asarray(order)
+    paths = guess(None, current_mask())[order]  # row i: datum order[i]
+    windows = np.arange(paths.shape[1])
+    batches, resolved, done = 1, 0, 0
+    while True:
+        done += claim(done)
+        if done == len(order):
+            break
+        mask = current_mask()
+        fits = mask.ravel()[paths[done:] + windows * mask.shape[1]].all(axis=1)
+        stale = done + np.flatnonzero(~fits)
+        paths[stale] = guess(order[stale], mask)
+        batches += 1
+        resolved += len(stale)
+    centers = np.empty_like(paths)
+    centers[order] = paths
+    return centers, batches, resolved
+
+
 def _batched_walk(
     costs: np.ndarray,
     dist: np.ndarray,
@@ -323,19 +376,18 @@ def _batched_walk(
 ):
     """:func:`_walk_paths` with the numpy DP, solved speculatively in batches.
 
-    Every datum is first solved at once against the current mask.  The
-    walk then takes data in ``order`` and claims each guessed path that
-    still fits; a guess that hits a cell filled since it was made is
-    re-solved under the current mask in one batched DP, together with
-    every remaining guess that touches a full cell.  A path that is
-    optimal over a superset of cells and feasible in the subset is
-    optimal in the subset, with the same lowest-index tie-break, so the
-    centers are bit-identical to the sequential walk (see "Exact
-    speculative walk" in ``docs/algorithms.md``).  Certificate potentials
-    are then computed in one more batched DP under the mask each datum
-    actually had.  ``grid`` is passed to every batched DP
-    (:func:`_all_paths_vectorized`).  Otherwise the same arguments and
-    return value as :func:`_walk_paths`.
+    Every datum is first solved at once against the current mask, and
+    :func:`_claim_walk` claims the guesses in ``order``, one bulk claim
+    per conflict; the guesses a claim invalidated are re-solved under
+    the current mask in one batched DP.  A path that is optimal over a
+    superset of cells and feasible in the subset is optimal in the
+    subset, with the same lowest-index tie-break, so the centers are
+    bit-identical to the sequential walk.  A datum with no path under a
+    superset of its cells has none at its turn, so any infinite guess
+    raises at once.  Certificate potentials are then computed in one
+    more batched DP under the mask each datum actually had.  ``grid`` is
+    passed to every batched DP (:func:`_all_paths_vectorized`).
+    Otherwise the same arguments and return value as :func:`_walk_paths`.
     """
     n_data, n_windows, n_procs = costs.shape
     if tracker is None:
@@ -350,41 +402,22 @@ def _batched_walk(
             masks = np.broadcast_to(base, costs.shape).copy()
         return centers, potentials, masks
 
-    def current_mask():
-        available = tracker.available_mask()
-        return available if base is None else base & available
+    def guess(rows, mask):
+        paths, totals, _ = _all_paths_vectorized(
+            costs, dist, vols, masks=mask, data=rows, grid=grid
+        )
+        if not np.isfinite(totals).all():
+            raise CapacityError(_NO_PATH)
+        return paths
 
-    windows = np.arange(n_windows)
-    order = np.asarray(order)
     masks = (
         np.empty((n_data, n_windows, n_procs), dtype=bool)
         if record_masks or certify
         else None
     )
-    centers, totals, _ = _all_paths_vectorized(
-        costs, dist, vols, masks=current_mask(), grid=grid
+    centers, batches, resolved = _claim_walk(
+        tracker, order, guess, base=base, masks=masks
     )
-    batches, resolved = 1, 0
-    for i, d in enumerate(order):
-        # infeasible under a superset of the datum's cells: infeasible now
-        if not np.isfinite(totals[d]):
-            raise CapacityError(_NO_PATH)
-        if masks is not None:
-            masks[d] = current_mask()
-        try:
-            tracker.claim_path(centers[d])
-        except CapacityError:
-            mask = current_mask()
-            rest = order[i:]
-            stale = rest[~mask[windows, centers[rest]].all(axis=1)]
-            centers[stale], totals[stale], _ = _all_paths_vectorized(
-                costs, dist, vols, masks=mask, data=stale, grid=grid
-            )
-            batches += 1
-            resolved += len(stale)
-            if not np.isfinite(totals[d]):
-                raise CapacityError(_NO_PATH) from None
-            tracker.claim_path(centers[d])
     obs.count("gomcds.walk_batches", batches)
     obs.count("gomcds.walk_resolved", resolved)
     potentials = None

@@ -13,12 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..mem import CapacityError, CapacityPlan, OccupancyTracker
-from ..obs import Instrumentation, record_decisions, resolve
+from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
+from .gomcds import _BLOCK, _claim_walk
 from .schedule import Schedule
 
 __all__ = ["lomcds"]
+
+_MASKED_CELLS = 1 << 16  # costs per masked-argmin block (see _masked_argmin)
 
 
 def _hold_position(centers: np.ndarray, referenced: np.ndarray) -> None:
@@ -43,62 +46,122 @@ def _hold_position(centers: np.ndarray, referenced: np.ndarray) -> None:
     centers[:] = centers[np.arange(n_data)[:, None], source]
 
 
-def _capacity_walk(
-    costs, referenced, order, tracker, masks=None, evictions=None
-):
-    """The LOMCDS capacity walk, one step per datum.
+def _masked_argmin(costs, rows, wins, free):
+    """The first free processor on each ``(rows[i], wins[i])`` list.
 
-    A datum claims one cell per window, so its own claims never change
-    its availability in any other window: one availability snapshot per
-    datum serves every window (and is its provenance mask).  One stable
-    argsort + gather picks the first free processor on each window's
-    list; idle windows forward-fill the last chosen center.  Only from
-    the first idle window whose held slot is taken (an eviction) does the
-    datum fall back to the scalar window-by-window rule.  Same arguments,
-    return value and bits as its test reference,
+    The list is the processors ranked by ascending cost, ties toward the
+    lowest pid, so its first free entry is the lowest-index argmin of the
+    costs masked to +inf on full cells (``free`` is the flat
+    ``(W * m,)`` availability).  The argmins run in blocks of at most
+    ``_MASKED_CELLS`` costs.
+    """
+    n_procs = costs.shape[2]
+    available = free.reshape(-1, n_procs)
+    procs = np.empty(len(rows), dtype=np.int64)
+    step = max(1, _MASKED_CELLS // n_procs)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        at = wins[block]
+        masked = np.where(available[at], costs[rows[block], at], np.inf)
+        procs[block] = masked.argmin(axis=1)
+    return procs
+
+
+def _capacity_walk(
+    costs, referenced, order, tracker, masks=None, evictions=None, *,
+    obs=NOOP,
+):
+    """The LOMCDS capacity walk, one bulk claim per conflict.
+
+    Every datum's row is guessed at once under the current availability
+    and :func:`~repro.core.gomcds._claim_walk` claims the guesses in
+    ``order``, re-guessing those a claim invalidated.  A guess takes the
+    first free processor on each choosing window's list and forward-fills
+    it through the idle windows; an idle window whose held slot is full
+    is an eviction, resolved for every guessed row at once, one pass per
+    eviction event.  The first free processor of each cell is cached:
+    the unconstrained argmin at first, and a masked argmin
+    (:func:`_masked_argmin`) only where a guess finds the cached one
+    full.  Under a superset of the turn's availability, a row whose every
+    cell is free at the turn is exactly that turn's row, holds and
+    evictions included (see "Exact speculative walk" in
+    ``docs/algorithms.md``).  Counts ``lomcds.walk_batches`` and
+    ``lomcds.walk_resolved`` on ``obs``.
+    Same arguments, return value and bits as its test reference,
     :func:`~repro.core.kernels.lomcds_walk_python`.
     """
-    n_data, n_windows, _ = costs.shape
-    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    n_data, n_windows, n_procs = costs.shape
     windows = np.arange(n_windows)
+    offsets = windows * n_procs  # flat (window, processor) cells
     # window 0 and referenced windows choose from the processor list;
     # every other window holds the center chosen last
     chooses = referenced.copy()
     chooses[:, 0] = True
-    source = np.maximum.accumulate(np.where(chooses, windows, 0), axis=1)
-    idle_holds = idle_evictions = 0
-    for d in order:
-        available = tracker.available_mask()
-        if masks is not None:
-            masks[d] = available
-        ranked = np.argsort(costs[d], axis=1, kind="stable")
-        free = available[windows[:, None], ranked]
-        pos = free.argmax(axis=1)  # first free slot on each window's list
-        if not free[windows, pos].all():
+    # each cell's first free processor as of its row's last guess: the
+    # unconstrained argmin until a guess finds it full
+    first = np.empty((n_data, n_windows), dtype=np.min_scalar_type(n_procs))
+    for start in range(0, n_data, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        first[block] = costs[block].argmin(axis=2)
+    evicted = np.zeros((n_data, n_windows), dtype=bool)
+
+    def guess_block(rows, free):
+        """The paths of ``rows`` under the flat availability ``free``."""
+        choose = chooses[rows]
+        at, wins = np.nonzero(choose & ~free[first[rows] + offsets])
+        first[rows[at], wins] = _masked_argmin(costs, rows[at], wins, free)
+        # idle windows hold the center of the last choosing window
+        source = np.maximum.accumulate(np.where(choose, windows, 0), axis=1)
+        paths = first.ravel()[source + rows[:, None] * n_windows]
+        idle = ~choose
+        lost = idle & ~free[paths + offsets]
+        ev = np.zeros(lost.shape, dtype=bool)
+        live = np.flatnonzero(lost.any(axis=1))
+        if len(live):
+            # the next choosing window at or after each window
+            until = np.where(choose, windows, n_windows)[:, ::-1]
+            until = np.minimum.accumulate(until, axis=1)[:, ::-1]
+        while len(live):
+            e = lost[live].argmax(axis=1)  # each row's first eviction
+            ev[live, e] = True
+            data = rows[live]
+            procs = first[data, e]
+            full = np.flatnonzero(~free[offsets[e] + procs])
+            procs[full] = _masked_argmin(costs, data[full], e[full], free)
+            first[data, e] = procs
+            # the new center is held up to the next choosing window
+            moved = (windows >= e[:, None]) & (
+                windows < until[live, e][:, None]
+            )
+            paths[live] = np.where(moved, procs[:, None], paths[live])
+            lost[live] = idle[live] & ~free[paths[live] + offsets]
+            live = live[lost[live].any(axis=1)]
+        evicted[rows] = ev
+        return paths
+
+    def guess(rows, available):
+        if rows is None:
+            rows = np.arange(n_data)
+        if len(rows) and not available.any(axis=1).all():
             raise CapacityError("no processor has a free slot for this datum")
-        first = ranked[windows, pos]
-        row = first[source[d]]
-        idle = ~chooses[d]
-        evicted = idle & ~available[windows, row]
-        if not evicted.any():
-            idle_holds += int(idle.sum())
-        else:
-            start = int(evicted.argmax())
-            idle_holds += int(idle[:start].sum())
-            prev = row[start - 1]
-            for w in range(start, n_windows):
-                if chooses[d, w]:
-                    prev = first[w]
-                elif available[w, prev]:
-                    idle_holds += 1
-                else:
-                    prev = first[w]
-                    idle_evictions += 1
-                    if evictions is not None:
-                        evictions.append((d, w))
-                row[w] = prev
-        tracker.claim_path(row)
-        centers[d] = row
+        # a block of rows at a time keeps the (rows, W) temporaries small
+        free = available.ravel()
+        paths = np.empty((len(rows), n_windows), dtype=np.int64)
+        for start in range(0, len(rows), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            paths[block] = guess_block(rows[block], free)
+        return paths
+
+    centers, batches, resolved = _claim_walk(
+        tracker, order, guess, masks=masks
+    )
+    obs.count("lomcds.walk_batches", batches)
+    obs.count("lomcds.walk_resolved", resolved)
+    at, wins = np.nonzero(evicted[order])
+    if evictions is not None:
+        evictions.extend(zip(np.asarray(order)[at].tolist(), wins.tolist()))
+    idle_evictions = len(at)
+    idle_holds = int((~chooses[order]).sum()) - idle_evictions
     return centers, idle_holds, idle_evictions
 
 
@@ -155,7 +218,7 @@ def lomcds(
         with obs.span("lomcds.capacity_walk") as span:
             centers, idle_holds, idle_evictions = _capacity_walk(
                 costs, referenced, tensor.data_priority_order(), tracker,
-                masks, evictions,
+                masks, evictions, obs=obs,
             )
             span.set(idle_holds=idle_holds, idle_evictions=idle_evictions)
             obs.count("lomcds.idle_holds", idle_holds)

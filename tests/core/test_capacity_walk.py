@@ -5,6 +5,10 @@ and the walk counters, then checks the batched walk against its
 per-datum scalar test reference on the same inputs.
 """
 
+import sys
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,16 +22,20 @@ from repro.core import (
 )
 from repro.faults import FaultPlan, NodeFault, alive_window_mask
 from repro.grid import Mesh1D
-from repro.mem import CapacityError, CapacityPlan
+from repro.mem import CapacityError, CapacityPlan, OccupancyTracker
 from repro.obs import Instrumentation
 from repro.trace import build_reference_tensor
-from repro.workloads import trace_from_counts
+from repro.workloads import paper_instance, trace_from_counts
 from tests.reference_pairs import (
     assert_derivations_match,
     assert_lomcds_walks_match,
     assert_path_walks_match,
     recorded_derivations,
 )
+
+
+GOMCDS = sys.modules["repro.core.gomcds"]
+SCHEDULERS = {"scds": scds, "lomcds": lomcds, "gomcds": gomcds}
 
 
 def tensor_1d(counts):
@@ -125,10 +133,12 @@ def test_infeasible_datum_raises_the_oracles_error():
     assert "no feasible center path" in str(err.value)
 
 
-def test_lomcds_idle_hold_eviction_runs_the_scalar_fallback():
+def test_lomcds_idle_hold_eviction_is_resolved_in_a_second_batch():
     # datum 0 (heavier) idles in window 0, takes pid 2 in window 1 and holds
-    # it in window 2; datum 1 takes pid 2 in window 0, loses it in window 1
-    # (eviction: walk the list, pid 0) and holds pid 0 in window 2
+    # it in window 2; datum 1 takes pid 2 in window 0, and its first-batch
+    # guess holds it through window 1.  That cell is datum 0's, so the
+    # second batch re-guesses datum 1: an eviction in window 1 walks the
+    # list to pid 0, which window 2 holds
     tensor, model = tensor_1d([
         [[0, 0, 0], [0, 0, 5], [0, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
@@ -139,6 +149,8 @@ def test_lomcds_idle_hold_eviction_runs_the_scalar_fallback():
         sched = lomcds(tensor, model, capacity, instrument=instr)
     assert sched.centers.tolist() == [[0, 2, 2], [2, 0, 0]]
     assert counters(instr) == {
+        "lomcds.walk_batches": 2.0,
+        "lomcds.walk_resolved": 1.0,
         "lomcds.idle_holds": 2.0,
         "lomcds.idle_evictions": 1.0,
     }
@@ -151,3 +163,49 @@ def test_lomcds_idle_hold_eviction_runs_the_scalar_fallback():
     assert np.array_equal(sched.centers, centers)
     assert (holds, evicted, evictions) == (2, 1, [(1, 1)])
     assert_derivations_match(calls)
+
+
+@pytest.mark.parametrize("bench", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_walks_claim_once_per_batch_not_once_per_datum(name, bench, monkeypatch):
+    # SCDS reports no walk counters, so its batches are its DP solves
+    calls = Counter()
+
+    def spy(target, attr):
+        original = getattr(target, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, attr, counted)
+
+    inst = paper_instance(bench, 16)
+    for attr in ("claim_path", "claim_paths"):
+        spy(OccupancyTracker, attr)
+    spy(GOMCDS, "_all_paths_vectorized")
+    instr = Instrumentation.started()
+    SCHEDULERS[name](
+        inst.tensor, inst.model, inst.capacity, instrument=instr
+    )
+    batches = (
+        calls["_all_paths_vectorized"]
+        if name == "scds"
+        else counters(instr)[f"{name}.walk_batches"]
+    )
+    assert calls["claim_path"] == 0
+    assert calls["claim_paths"] == batches
+    assert batches < inst.tensor.n_data / 4
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULERS))
+def test_walk_memory_stays_below_half_the_cost_tensor(name):
+    inst = paper_instance(3, 32)
+    costs = inst.model.all_placement_costs(inst.tensor)  # memoized first
+    tracemalloc.start()
+    try:
+        SCHEDULERS[name](inst.tensor, inst.model, inst.capacity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < costs.nbytes / 2

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.diagnostics import SCH002
 from repro.mem import CapacityError, CapacityPlan, OccupancyTracker, first_available
@@ -78,6 +81,92 @@ class TestOccupancyTracker:
 
     def test_available_mask_shape(self, tracker):
         assert tracker.available_mask().shape == (4, 3)
+
+
+class TestClaimPaths:
+    def test_earlier_row_wins_a_cells_last_slot(self, tracker):
+        tracker.claim(2, 1)  # window 1, pid 2: one slot left
+        paths = np.array([[0, 2, 0, 0], [1, 2, 1, 1]])
+        assert tracker.claim_paths(paths) == 1
+        assert tracker.occupancy[1, 2] == 2
+        assert tracker.occupancy[:, 1].tolist() == [0, 0, 0, 0]
+
+    def test_nothing_is_claimed_past_the_prefix(self, tracker):
+        tracker.claim(0, 3)
+        tracker.claim(0, 3)
+        # row 1 hits the full cell (window 3, pid 0); row 2 would fit
+        paths = np.array([[1, 1, 1, 1], [2, 2, 2, 0], [2, 2, 2, 2]])
+        assert tracker.claim_paths(paths) == 1
+        assert tracker.occupancy.tolist() == [
+            [0, 1, 0], [0, 1, 0], [0, 1, 0], [2, 1, 0],
+        ]
+
+    def test_base_mask_is_honoured_and_recorded(self, tracker):
+        base = np.ones((4, 3), dtype=bool)
+        base[2, 1] = False
+        tracker.claim(0, 0)
+        paths = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]])
+        masks = np.zeros((3, 4, 3), dtype=bool)
+        assert tracker.claim_paths(paths, base=base, masks=masks) == 1
+        assert tracker.occupancy[:, 0].tolist() == [2, 1, 1, 1]
+        assert np.array_equal(masks[0], base)  # every slot free at row 0
+        assert not masks[1:].any()  # unclaimed rows are left alone
+
+    def test_turn_masks_see_the_cells_filled_before_them(self, tracker):
+        paths = np.array([[0, 0, 0, 0], [0, 1, 1, 1], [2, 2, 2, 2]])
+        masks = np.zeros((3, 4, 3), dtype=bool)
+        assert tracker.claim_paths(paths, masks=masks) == 3
+        assert masks[:2].all()
+        full = np.ones((4, 3), dtype=bool)
+        full[0, 0] = False  # rows 0 and 1 took both slots
+        assert np.array_equal(masks[2], full)
+
+    def test_path_width_checked(self, tracker):
+        with pytest.raises(ValueError):
+            tracker.claim_paths(np.zeros((2, 3), dtype=np.int64))
+
+
+@st.composite
+def claim_cases(draw):
+    """A tracker with some slots taken, paths to claim and an optional
+    base mask; up to 150 rows, so the doubling prefix search is used."""
+    n_procs = draw(st.integers(1, 4))
+    n_windows = draw(st.integers(1, 4))
+    capacity = draw(st.integers(1, 60))
+    tracker = OccupancyTracker(
+        CapacityPlan.uniform(n_procs, capacity), n_windows=n_windows
+    )
+    taken = draw(arrays(np.int64, (n_windows, n_procs),
+                        elements=st.integers(0, capacity)))
+    tracker.restore(taken)
+    n_rows = draw(st.integers(0, 150))
+    paths = draw(arrays(np.int64, (n_rows, n_windows),
+                        elements=st.integers(0, n_procs - 1)))
+    base = draw(st.none() | arrays(np.bool_, (n_windows, n_procs)))
+    return tracker, paths, base
+
+
+@given(claim_cases())
+@settings(max_examples=150, deadline=None)
+def test_claim_paths_equals_a_loop_of_claim_path(case):
+    tracker, paths, base = case
+    reference = OccupancyTracker(tracker.plan, n_windows=tracker.n_windows)
+    reference.restore(tracker.snapshot())
+    expected_masks, windows = [], np.arange(tracker.n_windows)
+    for path in paths:
+        available = reference.available_mask()
+        turn = available if base is None else base & available
+        if not turn[windows, path].all():
+            break
+        expected_masks.append(turn)
+        reference.claim_path(path)
+    masks = np.zeros((len(paths), *tracker.occupancy.shape), dtype=bool)
+    claimed = tracker.claim_paths(paths, base=base, masks=masks)
+    assert claimed == len(expected_masks)
+    assert np.array_equal(tracker.occupancy, reference.occupancy)
+    for got, want in zip(masks, expected_masks):
+        assert np.array_equal(got, want)
+    assert not masks[claimed:].any()
 
 
 class TestFirstAvailable:
