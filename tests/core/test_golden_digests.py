@@ -15,6 +15,12 @@ liveness mask is the walk's only constraint.
 capacity rule, on other grid shapes: 8x8 at size 16, 4x8 and a 16-node
 line at size 8, and 16x16 at size 8 (benchmark 1), plus one fault
 reschedule on the 8x8 mesh.
+
+:data:`GOLDEN_MULTIPLIERS` pins the per-window walks at other memory
+sizes: OMCDS at 1.0x and 1.25x the balanced minimum, every grouping
+variant (greedy or DP-optimal partitions, local or global centers) at
+1.0x, where grouped data fall back to single windows, 1.25x and 2x, and
+two-replica SCDS under the paper rule.
 """
 
 import hashlib
@@ -26,7 +32,9 @@ from repro.core import (
     CostModel,
     gomcds,
     gomcds_budgeted,
+    grouped_schedule,
     omcds,
+    replicated_scds,
     reschedule_around_faults,
     reschedule_from_window,
     scds,
@@ -227,4 +235,118 @@ def test_golden_mesh_fault_reschedule():
     sched = reschedule_around_faults(tensor, model, plan, cap, certify=True)
     assert (_digest(sched.centers), _certificate_digest(sched)) == (
         "1e9e5585812733c9", "83ffeebd769d6dc8",
+    )
+
+
+
+#: (solver, multiplier, bench) -> digests: the centers (OMCDS), the
+#: centers and partitions (grouping, ``<strategy>-<center method>``) or
+#: the replica sites padded with -1 (two-replica SCDS).
+GOLDEN_MULTIPLIERS = {
+    ("omcds", 1.0, 1): ("706fdb2ab88ee52d",),
+    ("omcds", 1.0, 2): ("bab963cd98217fac",),
+    ("omcds", 1.0, 3): ("7b122bcbc724c760",),
+    ("omcds", 1.0, 4): ("eb328c30f9114a29",),
+    ("omcds", 1.0, 5): ("a27054af4427d70d",),
+    ("omcds", 1.25, 1): ("fa33a0d3e7169e7b",),
+    ("omcds", 1.25, 2): ("657626628efec656",),
+    ("omcds", 1.25, 3): ("969f22c3100cbb68",),
+    ("omcds", 1.25, 4): ("d3f6edf88b5f6aaf",),
+    ("omcds", 1.25, 5): ("eca816e0663f7f7f",),
+    ("greedy-local", 1.0, 1): ("31290d0f2ecb40a6", "d876abe22d6bd83a"),
+    ("greedy-local", 1.0, 2): ("be0efb9608388353", "cbf3d3c54f3d84a7"),
+    ("greedy-local", 1.0, 3): ("1f0e6f17fdfb2792", "ecf9edf5edd489a2"),
+    ("greedy-local", 1.0, 4): ("b6e2cb8c1db31f90", "dc5d2ebd2f0fd6ef"),
+    ("greedy-local", 1.0, 5): ("0fd733e8d3f64eec", "efc933a83a4c0916"),
+    ("greedy-local", 1.25, 1): ("861709fe9cd22371", "41df7b03133f0e72"),
+    ("greedy-local", 1.25, 2): ("d35d12f853a78f29", "5a27b75600da8b59"),
+    ("greedy-local", 1.25, 3): ("7cded74dc4315a01", "9183b0756b6d8fc0"),
+    ("greedy-local", 1.25, 4): ("8cdc74c37190f679", "caf875b0a5bfb269"),
+    ("greedy-local", 1.25, 5): ("c9fd67ee2587e781", "9fbcad33f4b61380"),
+    ("greedy-local", 2.0, 1): ("3540127130139daa", "41df7b03133f0e72"),
+    ("greedy-local", 2.0, 2): ("1260883ebc611fda", "5a27b75600da8b59"),
+    ("greedy-local", 2.0, 3): ("d99d3eacd7043ade", "41bc7fc72603b966"),
+    ("greedy-local", 2.0, 4): ("729c3f48488d5d44", "b4af5a16e4ba83e5"),
+    ("greedy-local", 2.0, 5): ("f0b745c94bb4c225", "3223992d6f0dd5be"),
+    ("greedy-global", 1.0, 1): ("6fb726fdbd93e864", "39d35179a6b62634"),
+    ("greedy-global", 1.0, 2): ("a749224285aa304c", "f50f74d20014f3be"),
+    ("greedy-global", 1.0, 3): ("1d1ceb5a3814dd04", "cecb6f8caff44396"),
+    ("greedy-global", 1.0, 4): ("ad2855f83f34b943", "d0e54206e1f0088b"),
+    ("greedy-global", 1.0, 5): ("66cc4706b4b2dd9d", "e1e5517945d68e3d"),
+    ("greedy-global", 1.25, 1): ("dd6c84bd255dd61c", "3fef27f7bcd6e0bc"),
+    ("greedy-global", 1.25, 2): ("c3a3f5781ae37be4", "99c0994cc0af0878"),
+    ("greedy-global", 1.25, 3): ("f25870e7132f26bc", "6a38a78c4fdd2834"),
+    ("greedy-global", 1.25, 4): ("5c7f2cb0080722bb", "461d6df643aa567d"),
+    ("greedy-global", 1.25, 5): ("978da4b90e7b6c4b", "5e1aae93b413350f"),
+    ("greedy-global", 2.0, 1): ("fe09f52f792339aa", "3fef27f7bcd6e0bc"),
+    ("greedy-global", 2.0, 2): ("b7ae9a337a02b09b", "99c0994cc0af0878"),
+    ("greedy-global", 2.0, 3): ("300c75daa7f1be04", "1d1c6fc676ef4e74"),
+    ("greedy-global", 2.0, 4): ("34bbad96413319f4", "d191864a6adbfd23"),
+    ("greedy-global", 2.0, 5): ("84d8ce4b6051d253", "eb92ad34bbdfcf30"),
+    ("optimal-local", 1.0, 1): ("be7dbeb875a99ca2", "ae0ad7f07d1770cd"),
+    ("optimal-local", 1.0, 2): ("e58b4946defbef30", "bc0506a87350f8ab"),
+    ("optimal-local", 1.0, 3): ("f24a3b1f973d3fea", "4c450c4fe33d90c4"),
+    ("optimal-local", 1.0, 4): ("eeeb9535ea8f25d6", "6107bdc9de5af524"),
+    ("optimal-local", 1.0, 5): ("22237f948884cb80", "411092f237f8cae7"),
+    ("optimal-local", 1.25, 1): ("d97bbc0b5b06913a", "4d80bf1e8e0568ab"),
+    ("optimal-local", 1.25, 2): ("75b4e11851872ae8", "442441ffd57f2b74"),
+    ("optimal-local", 1.25, 3): ("ac5f9796f3d1c0d4", "c3fb132dedb2bb98"),
+    ("optimal-local", 1.25, 4): ("0a88ef47abf62bba", "88f0085e702ea84a"),
+    ("optimal-local", 1.25, 5): ("4c7fd549d2bbddbb", "16a08843505eb11d"),
+    ("optimal-local", 2.0, 1): ("2486cd1b38b53280", "4d80bf1e8e0568ab"),
+    ("optimal-local", 2.0, 2): ("425c28dd3e63df4b", "442441ffd57f2b74"),
+    ("optimal-local", 2.0, 3): ("43a7521e91a87bf9", "f5c61fbbe5c8a91b"),
+    ("optimal-local", 2.0, 4): ("fe04082d05fb1c81", "c8a6628aa78e3ff7"),
+    ("optimal-local", 2.0, 5): ("45505e872fda28c8", "136d1046fd029c23"),
+    ("optimal-global", 1.0, 1): ("8d145eceff6b1ad5", "5258cd3360126e5e"),
+    ("optimal-global", 1.0, 2): ("147517b13eb571d4", "71f60589830b11a8"),
+    ("optimal-global", 1.0, 3): ("f570af14597d16a8", "061231cac757e14f"),
+    ("optimal-global", 1.0, 4): ("68caa7369db2aaa9", "e7389c13361ad6f3"),
+    ("optimal-global", 1.0, 5): ("1582898fed565a60", "c165d50a647897a0"),
+    ("optimal-global", 1.25, 1): ("8638b54e150b5d37", "4d80bf1e8e0568ab"),
+    ("optimal-global", 1.25, 2): ("c4d52f8ff39393b7", "442441ffd57f2b74"),
+    ("optimal-global", 1.25, 3): ("4e9e9a966570b07e", "5f3e6d4cc163b457"),
+    ("optimal-global", 1.25, 4): ("0e6829e26b29f009", "03a293bb21d0d39a"),
+    ("optimal-global", 1.25, 5): ("2523f2ef99761632", "8aa2b8caed2e643f"),
+    ("optimal-global", 2.0, 1): ("24279783ca7b32ff", "4d80bf1e8e0568ab"),
+    ("optimal-global", 2.0, 2): ("2407a09544e26a53", "442441ffd57f2b74"),
+    ("optimal-global", 2.0, 3): ("448998f0d9ed5ffc", "f5c61fbbe5c8a91b"),
+    ("optimal-global", 2.0, 4): ("32c497e5f75ba6a8", "c8a6628aa78e3ff7"),
+    ("optimal-global", 2.0, 5): ("0b3f83649c9b3016", "136d1046fd029c23"),
+    ("replicated", 2.0, 1): ("828f912867afae75",),
+    ("replicated", 2.0, 2): ("4c4c4dfc5850ba29",),
+    ("replicated", 2.0, 3): ("1cfaa7faed3ca164",),
+    ("replicated", 2.0, 4): ("74d9a8966f75d9bd",),
+    ("replicated", 2.0, 5): ("5a5f46a1bcb4088e",),
+}
+
+
+def _solve_at(solver, multiplier, bench):
+    topo = Mesh2D(4, 4)
+    wl = make_benchmark(bench, 8, topo, seed=1998)
+    tensor = build_reference_tensor(wl.trace, wl.windows)
+    model = CostModel(topo)
+    cap = CapacityPlan.paper_rule(wl.n_data, topo.n_procs, multiplier)
+    if solver == "omcds":
+        return (_digest(omcds(tensor, model, cap).centers),)
+    if solver == "replicated":
+        placement = replicated_scds(tensor, model, 2, cap)
+        sites = np.array([(*s, -1)[:2] for s in placement.replicas])
+        return (_digest(sites),)
+    strategy, center_method = solver.split("-")
+    sched = grouped_schedule(
+        tensor, model, cap, center_method=center_method, strategy=strategy
+    )
+    partitions = np.array([
+        (d, first, last)
+        for d, partition in sorted(sched.meta["partitions"].items())
+        for first, last in partition
+    ])
+    return _digest(sched.centers), _digest(partitions)
+
+
+@pytest.mark.parametrize(("solver", "multiplier", "bench"), list(GOLDEN_MULTIPLIERS))
+def test_golden_multiplier_digest(solver, multiplier, bench):
+    assert _solve_at(solver, multiplier, bench) == (
+        GOLDEN_MULTIPLIERS[(solver, multiplier, bench)]
     )
