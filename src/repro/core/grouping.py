@@ -164,30 +164,20 @@ def _assign_group_centers(
     move_costs: np.ndarray,
     partition: list[Interval],
     assign_method: CenterMethod,
-    tracker: OccupancyTracker | None,
+    available: np.ndarray | None,
 ) -> np.ndarray:
-    """Pick a center per group, honoring memory availability if tracked."""
-    n_groups = len(partition)
-    if tracker is None:
-        if assign_method == "local":
-            return rows.argmin(axis=1)
-        centers, _ = shortest_center_path(rows, move_costs)
+    """Pick a center per group; given the ``(n_windows, n_procs)``
+    ``available`` mask, one free in every window of its group, raising
+    :class:`CapacityError` when some group has none."""
+    allowed = None
+    if available is not None:
+        allowed = np.stack([available[a : b + 1].all(axis=0) for a, b in partition])
+    if assign_method == "global":
+        centers, _ = shortest_center_path(rows, move_costs, allowed=allowed)
         return centers
-    if assign_method == "local":
-        centers = np.empty(n_groups, dtype=np.int64)
-        for g, (first, last) in enumerate(partition):
-            available = tracker.available_in_range(first, last)
-            proc = first_available(rows[g], available)
-            tracker.claim(proc, first, last)
-            centers[g] = proc
-        return centers
-    allowed = np.stack(
-        [tracker.available_in_range(first, last) for first, last in partition]
-    )
-    centers, _ = shortest_center_path(rows, move_costs, allowed=allowed)
-    for g, (first, last) in enumerate(partition):
-        tracker.claim(int(centers[g]), first, last)
-    return centers
+    if allowed is None:
+        return rows.argmin(axis=1)
+    return np.array([first_available(r, a) for r, a in zip(rows, allowed)])
 
 
 def _expand(partition: list[Interval], centers: np.ndarray, n_windows: int) -> np.ndarray:
@@ -244,25 +234,27 @@ def grouped_schedule(
 
         prefix = np.vstack([np.zeros_like(costs[d][:1]), costs[d].cumsum(axis=0)])
         rows = _group_rows(prefix, partition)
-        checkpoint = tracker.snapshot() if tracker is not None else None
+        # one datum's groups cover disjoint windows, so their centers are
+        # chosen against one availability read and claimed as one path
+        available = None if tracker is None else tracker.available_mask()
         try:
             group_centers = _assign_group_centers(
-                rows, move, partition, assign_method, tracker
+                rows, move, partition, assign_method, available
             )
-            centers[d] = _expand(partition, group_centers, n_windows)
         except CapacityError:
-            if tracker is not None:
-                tracker.restore(checkpoint)  # drop partial group claims
             # A grouped datum needs one processor free across its whole
             # group; under tight memories none may exist even though every
             # individual window still has slots.  Degrade gracefully: drop
             # this datum's grouping and place it window by window (always
             # feasible — sequential assignment leaves a slot per window).
-            partitions[int(d)] = [(w, w) for w in range(n_windows)]
-            window_centers = _assign_group_centers(
-                costs[d], move, partitions[int(d)], assign_method, tracker
+            partition = [(w, w) for w in range(n_windows)]
+            partitions[int(d)] = partition
+            group_centers = _assign_group_centers(
+                costs[d], move, partition, assign_method, available
             )
-            centers[d] = window_centers
+        centers[d] = _expand(partition, group_centers, n_windows)
+        if tracker is not None:
+            tracker.claim_path(centers[d])
 
     method = f"{'GREEDY' if strategy == 'greedy' else 'OPT'}-GROUP+{assign_method.upper()}"
     return Schedule(

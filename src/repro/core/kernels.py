@@ -30,6 +30,7 @@ __all__ = [
     "local_argmin_python",
     "hold_position_python",
     "lomcds_walk_python",
+    "omcds_walk_python",
     "shortest_center_path_python",
 ]
 
@@ -131,11 +132,13 @@ def lomcds_walk_python(
     (:func:`repro.core.lomcds._capacity_walk`): one processor-list scan
     per cell.
 
-    Data are taken in ``order`` and claim one slot per window.  Window 0
+    Data are taken in ``order``; each reads the availability once and
+    claims its whole row with one path claim (it never claims a window
+    twice, so no cell it reads changes before its own claim).  Window 0
     and every referenced window take the first free processor on the
     datum's list; an idle window holds the previous center if its slot is
     free, and otherwise is an eviction that walks the list after all.
-    ``masks`` (if given) receives each datum's per-window availability,
+    ``masks`` (if given) receives each datum's availability,
     ``evictions`` the ``(datum, window)`` of every eviction.
 
     Returns ``(centers, idle_holds, idle_evictions)``.
@@ -144,27 +147,82 @@ def lomcds_walk_python(
     centers = np.empty((n_data, n_windows), dtype=np.int64)
     idle_holds = idle_evictions = 0
     for d in order:
+        available = tracker.available_mask()
+        if masks is not None:
+            masks[d] = available
         prev: int | None = None
         for w in range(n_windows):
-            available = tracker.available_in_window(w)
-            if masks is not None:
-                masks[d, w] = available
             if referenced[d, w] or prev is None:
-                proc = first_available(costs[d, w], available)
-            elif available[prev]:
+                proc = first_available(costs[d, w], available[w])
+            elif available[w, prev]:
                 proc = prev  # idle window: stay put if there is room
                 idle_holds += 1
             else:
                 # eviction: the held slot was claimed by a higher-priority
                 # datum, so the idle datum walks its processor list after all
-                proc = first_available(costs[d, w], available)
+                proc = first_available(costs[d, w], available[w])
                 idle_evictions += 1
                 if evictions is not None:
                     evictions.append((d, w))
-            tracker.claim(proc, w)
             centers[d, w] = proc
             prev = proc
+        tracker.claim_path(centers[d])
     return centers, idle_holds, idle_evictions
+
+
+# ---------------------------------------------------------------------------
+# OMCDS: online hysteresis walk
+# ---------------------------------------------------------------------------
+
+
+def omcds_walk_python(costs, dist, vols, order, capacity, hysteresis):
+    """Test reference for OMCDS's window walk
+    (:func:`repro.core.online._online_walk`): one datum at a time, on a
+    plain per-window load vector.
+
+    In window 0 every datum takes the first free processor on its list.
+    In each later window its regret grows by what staying costs over the
+    window's local optimum; it wants to move there once the regret
+    reaches ``hysteresis`` times the move's price.  It then takes the
+    wanted processor if that has a free slot, else its current center if
+    that has one, else the first free processor on its list, and its
+    regret restarts when it wanted to move and got the optimum.  With
+    ``capacity`` ``None`` every slot is free.
+    """
+    n_data, n_windows, n_procs = costs.shape
+    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    regret = [0.0] * n_data
+    for w in range(n_windows):
+        load = np.zeros(n_procs, dtype=np.int64)
+        for d in order:
+            available = (
+                np.ones(n_procs, dtype=bool)
+                if capacity is None
+                else load < capacity.capacities
+            )
+            best = 0
+            for p in range(1, n_procs):
+                if costs[d, w, p] < costs[d, w, best]:
+                    best = p
+            current, wants_move = best, False
+            if w > 0:
+                current = int(centers[d, w - 1])
+                regret[d] += float(costs[d, w, current]) - float(costs[d, w, best])
+                if hysteresis != np.inf and best != current:
+                    price = float(vols[d]) * float(dist[current, best])
+                    wants_move = regret[d] >= hysteresis * price
+            target = best if wants_move else current
+            if available[target]:
+                proc = target
+            elif available[current]:
+                proc = current  # can't move where it wants: stay
+            else:
+                proc = first_available(costs[d, w], available)
+            if wants_move and proc == best:
+                regret[d] = 0.0
+            load[proc] += 1
+            centers[d, w] = proc
+    return centers
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ import math
 
 import numpy as np
 
-from ..mem import CapacityPlan, OccupancyTracker, first_available
+from ..mem import CapacityPlan, OccupancyTracker
 from ..obs import Instrumentation, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _batched_walk
+from .gomcds import _claim_walk
 from .schedule import Schedule
 
 __all__ = ["omcds"]
@@ -56,81 +56,77 @@ def omcds(
     if not hysteresis > 0:
         raise ValueError("hysteresis must be positive")
     obs = resolve(instrument)
-    n_data, n_windows = tensor.n_data, tensor.n_windows
+    n_data = tensor.n_data
     with obs.span(
         "scheduler.omcds",
         n_data=n_data,
-        n_windows=n_windows,
+        n_windows=tensor.n_windows,
         n_procs=model.n_procs,
         constrained=capacity is not None,
         hysteresis=hysteresis,
     ):
-        return _omcds_body(
-            tensor, model, capacity, hysteresis, obs, n_data, n_windows
+        with obs.span("omcds.cost_tensor"):
+            costs = model.all_placement_costs(tensor)  # (D, W, m)
+        order = None
+        if capacity is not None:
+            capacity.check_feasible(n_data)
+            order = tensor.data_priority_order()
+        centers = _online_walk(
+            costs, model.distances.astype(np.float64),
+            model.volume_vector(n_data), order, capacity, hysteresis,
         )
-
-
-def _omcds_body(
-    tensor, model, capacity, hysteresis, obs, n_data, n_windows
-) -> Schedule:
-    with obs.span("omcds.cost_tensor"):
-        costs = model.all_placement_costs(tensor)  # (D, W, m)
-    dist = model.distances.astype(np.float64)
-    vols = model.volume_vector(n_data)
-    centers = np.empty((n_data, n_windows), dtype=np.int64)
-
-    tracker = None
-    order = np.arange(n_data)
-    if capacity is not None:
-        capacity.check_feasible(n_data)
-        tracker = OccupancyTracker(capacity, n_windows=n_windows)
-        order = tensor.data_priority_order()
-
-    # Window 0: the only information available is window 0 itself.
-    if tracker is None:
-        centers[:, 0] = costs[:, 0, :].argmin(axis=1)
-    else:  # the one-window GOMCDS capacity walk, on its own window-0 slots
-        centers[:, :1], _, _ = _batched_walk(
-            costs[:, :1], dist, vols, order,
-            tracker=OccupancyTracker(capacity, n_windows=1),
-        )
-
-    regret = np.zeros(n_data)
-    for w in range(1, n_windows):
-        current = centers[:, w - 1]
-        stay_cost = costs[np.arange(n_data), w, current]
-        best = costs[:, w, :].argmin(axis=1)
-        best_cost = costs[np.arange(n_data), w, best]
-        regret += stay_cost - best_cost
-        if math.isinf(hysteresis):
-            wants_move = np.zeros(n_data, dtype=bool)
-        else:
-            move_price = vols * dist[current, best]
-            wants_move = (regret >= hysteresis * move_price) & (best != current)
-
-        if tracker is None:
-            next_centers = np.where(wants_move, best, current)
-            regret[wants_move] = 0.0
-            centers[:, w] = next_centers
-            continue
-
-        for d in order:
-            available = tracker.available_in_window(w)
-            target = int(best[d]) if wants_move[d] else int(current[d])
-            if available[target]:
-                proc = target
-            elif available[int(current[d])]:
-                proc = int(current[d])  # can't move where we want: stay
-            else:
-                proc = first_available(costs[d, w], available)
-            if wants_move[d] and proc == best[d]:
-                regret[d] = 0.0
-            tracker.claim(proc, w)
-            centers[d, w] = proc
-
     return Schedule(
         centers=centers,
         windows=tensor.windows,
         method="OMCDS",
         meta={"hysteresis": hysteresis},
     )
+
+
+def _online_walk(costs, dist, vols, order, capacity, hysteresis):
+    """The OMCDS centers, window by window.
+
+    Under ``capacity`` each window is one
+    :func:`~repro.core.gomcds._claim_walk` on a one-window tracker, whose
+    guess applies the turn's rule to every datum at once: the target if
+    it is free, else the current center if it is free, else the first
+    free processor on the datum's list.  Availability only shrinks, so a
+    guess still free at the datum's turn is the turn's choice ("Exact
+    speculative walk" in ``docs/algorithms.md``).  Bit-identical to its
+    test reference, :func:`~repro.core.kernels.omcds_walk_python`.
+    """
+    n_data, n_windows, _ = costs.shape
+    rows = np.arange(n_data)
+    centers = np.empty((n_data, n_windows), dtype=np.int64)
+    regret = np.zeros(n_data)
+    for w in range(n_windows):
+        best = costs[:, w].argmin(axis=1)
+        current = centers[:, w - 1] if w else best  # window 0: its optimum
+        regret += costs[rows, w, current] - costs[rows, w, best]
+        wants_move = best != current
+        if math.isinf(hysteresis):
+            wants_move[:] = False
+        else:
+            wants_move &= regret >= hysteresis * (vols * dist[current, best])
+        target = np.where(wants_move, best, current)
+        if capacity is not None:
+            target = _claim_window(costs[:, w], target, current, order, capacity)
+        centers[:, w] = target
+        regret[wants_move & (target == best)] = 0.0
+    return centers
+
+
+def _claim_window(costs, target, current, order, capacity):
+    """One window's ``(D,)`` centers, claimed in ``order``."""
+
+    def guess(rows, mask):
+        rows = slice(None) if rows is None else rows
+        free = mask[0]
+        wanted, held = target[rows], current[rows]
+        listed = np.where(free, costs[rows], np.inf).argmin(axis=1)
+        return np.where(
+            free[wanted], wanted, np.where(free[held], held, listed)
+        )[:, None]
+
+    tracker = OccupancyTracker(capacity, n_windows=1)
+    return _claim_walk(tracker, order, guess)[0][:, 0]

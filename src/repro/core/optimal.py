@@ -80,8 +80,11 @@ def static_lower_bound(
     """Cost of the optimal static placement (a bound for static methods).
 
     Note this does *not* bound multiple-center schedules — movement can
-    beat any static placement — for those, unconstrained GOMCDS is the
-    valid lower bound.
+    beat any static placement.  For those, unconstrained GOMCDS is a
+    valid lower bound, and under a capacity plan the Lagrangian bound of
+    :func:`~repro.core.gomcds.priced_gomcds` is the tighter one: its
+    value at zero prices is the unconstrained GOMCDS cost, and the bound
+    keeps the best value over its price steps.
     """
     from .evaluate import evaluate_schedule
 

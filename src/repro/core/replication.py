@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mem import CapacityError, CapacityPlan, OccupancyTracker
+from ..mem import CapacityError, CapacityPlan
 from ..trace import ReferenceTensor
 from .cost import CostModel
 
@@ -111,28 +111,24 @@ def replicated_scds(
     merged = tensor.counts.sum(axis=1)  # (D, m) demand over all windows
     n_data = tensor.n_data
 
-    tracker = None
-    free_slots = None
+    free = None  # per-processor free slots
     if capacity is not None:
         capacity.check_feasible(n_data)  # one copy minimum must fit
-        tracker = OccupancyTracker(capacity, n_windows=1)
-        free_slots = capacity.total
+        free = capacity.capacities.copy()
 
     replicas: list[tuple[int, ...]] = [()] * n_data
     order = tensor.data_priority_order()
     for rank, d in enumerate(order):
-        allowed = None if tracker is None else tracker.available_in_window(0)
         vol = model.volume(int(d))
-        k_eff = k
-        if free_slots is not None:
+        allowed, k_eff = None, k
+        if free is not None:
+            allowed = free > 0
             # every still-unplaced datum is owed one slot for its first copy
             remaining_after = len(order) - rank - 1
-            k_eff = max(1, min(k, free_slots - remaining_after))
+            k_eff = max(1, min(k, int(free.sum()) - remaining_after))
         sites = greedy_k_median(merged[d] * vol, dist, k_eff, allowed)
-        if tracker is not None:
-            for p in sites:
-                tracker.claim(p, 0)
-            free_slots -= len(sites)
+        if free is not None:
+            free[sites] -= 1  # the sites are distinct
         replicas[int(d)] = tuple(sites)
     return ReplicatedPlacement(replicas=tuple(replicas), k=k)
 

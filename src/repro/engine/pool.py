@@ -152,9 +152,6 @@ def schedule_many(
             "engine.batch.dedup_hits",
             len(requests) - len(solved) - len(pending),
         )
-        obs.count("engine.pool.requests", len(pending))
-        obs.count("engine.pool.dedup_hits", len(requests) - len(pending))
-        obs.gauge("engine.pool.queue_depth", len(pending))
 
         for key, request in pending.items():
             try:

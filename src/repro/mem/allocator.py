@@ -7,8 +7,12 @@ rule applies per window, and a datum placed in window ``w`` consumes one
 slot of its center for the duration of that window.
 
 :class:`OccupancyTracker` maintains the ``(n_windows, n_procs)`` slot
-counts and answers availability queries for single windows, window ranges
-(grouped windows) and all windows at once (static placement).
+counts.  A datum takes its slots as a whole path, one center per window
+(:meth:`~OccupancyTracker.claim_path`), and a walk claims many data's
+paths in priority order at once (:meth:`~OccupancyTracker.claim_paths`);
+:meth:`~OccupancyTracker.available_mask` is the one availability query.
+A static placement is a one-window tracker, and a grouped datum claims
+its per-window expansion.
 """
 
 from __future__ import annotations
@@ -42,51 +46,9 @@ class OccupancyTracker:
         view.setflags(write=False)
         return view
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the current occupancy, for transactional assignment."""
-        return self._occupancy.copy()
-
-    def restore(self, state: np.ndarray) -> None:
-        """Roll occupancy back to a previously taken :meth:`snapshot`."""
-        if state.shape != self._occupancy.shape:
-            raise ValueError("snapshot shape does not match this tracker")
-        self._occupancy = state.copy()
-
-    def available_in_window(self, w: int) -> np.ndarray:
-        """Boolean mask of processors with a free slot in window ``w``."""
-        return self._occupancy[w] < self.plan.capacities
-
-    def available_in_range(self, first: int, last: int) -> np.ndarray:
-        """Processors with a free slot in *every* window of ``first..last``
-        (inclusive) — the availability rule for a grouped window."""
-        if not 0 <= first <= last < self.n_windows:
-            raise ValueError(f"bad window range [{first}, {last}]")
-        occ = self._occupancy[first : last + 1]
-        return (occ < self.plan.capacities[None, :]).all(axis=0)
-
-    def available_everywhere(self) -> np.ndarray:
-        """Processors free in all windows (for static placement)."""
-        return self.available_in_range(0, self.n_windows - 1)
-
     def available_mask(self) -> np.ndarray:
         """Full ``(n_windows, n_procs)`` availability mask."""
         return self._occupancy < self.plan.capacities[None, :]
-
-    def claim(self, proc: int, first: int, last: int | None = None) -> None:
-        """Consume one slot at ``proc`` for windows ``first..last``.
-
-        Raises :class:`CapacityError` if any window is already full.
-        """
-        last = first if last is None else last
-        if not 0 <= first <= last < self.n_windows:
-            raise ValueError(f"bad window range [{first}, {last}]")
-        if not self.available_in_range(first, last)[proc]:
-            raise CapacityError(
-                f"processor {proc} has no free slot in windows {first}..{last}",
-                window=first,
-                processor=proc,
-            )
-        self._occupancy[first : last + 1, proc] += 1
 
     def claim_path(self, centers: np.ndarray) -> None:
         """Consume one slot per window along a per-window center path.

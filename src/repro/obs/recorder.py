@@ -111,19 +111,9 @@ class FlightRecorder:
         self._events.append(event)
         return event
 
-    @property
-    def next_seq(self) -> int:
-        """The ``seq`` the next recorded event will get (a watermark)."""
-        return self._seq
-
     def events(self) -> list[dict]:
         """Every retained event, oldest first (copies of the records)."""
         return [dict(e) for e in self._events]
-
-    def events_since(self, seq: int) -> list[dict]:
-        """Retained events with ``seq >= seq`` — one task's slice when
-        ``seq`` was captured from :attr:`next_seq` before the task ran."""
-        return [dict(e) for e in self._events if e["seq"] >= seq]
 
     def tail(self, n: int = 20) -> list[dict]:
         """The most recent ``n`` events, oldest of those first."""

@@ -215,8 +215,9 @@ class TestTightMemoryFallback:
             assert (occ <= 1).all()
 
     def test_fallback_releases_partial_claims(self):
-        """After a failed grouped assignment the tracker must hold exactly
-        one slot per (datum, window) — no leaked claims."""
+        """A failed grouped assignment claims nothing before the datum
+        falls back: the schedule holds exactly one slot per (datum,
+        window) — no leaked claims."""
         import numpy as np
 
         from repro.grid import Mesh1D

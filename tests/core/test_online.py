@@ -93,6 +93,19 @@ def test_capacity_respected(mesh44):
     assert (sched.occupancy(16) <= 3).all()
 
 
+def test_a_datum_blocked_from_its_optimum_keeps_its_regret():
+    # datum 0 holds pid 2 throughout; datum 1, pushed to pid 1 in window
+    # 0, wants pid 2 in window 1 but finds it full and stays.  Its regret
+    # is kept, so in window 2 it moves to the new optimum, pid 0.
+    counts = [
+        [[0, 0, 1], [1, 0, 1], [1, 0, 1]],
+        [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+    ]
+    tensor, model = tensor_1d(counts)
+    sched = omcds(tensor, model, CapacityPlan.uniform(3, 1), hysteresis=1.0)
+    assert sched.centers.tolist() == [[2, 2, 2], [1, 1, 0]]
+
+
 def test_bad_hysteresis_rejected(drift, mesh44):
     tensor = drift.reference_tensor()
     with pytest.raises(ValueError):

@@ -22,8 +22,6 @@ TOPO = Mesh2D(4, 4)
 ENGINE_COUNTERS = (
     "engine.batch.requests",
     "engine.batch.dedup_hits",
-    "engine.pool.requests",
-    "engine.pool.dedup_hits",
     "engine.batch.solved",
 )
 
@@ -85,9 +83,9 @@ def test_each_unique_request_records_one_start_and_one_end(workers):
     requests = _suite()
     unique = sorted((r.algorithm, r.label) for r in requests)
     ring = flight_recorder()
-    watermark = ring.next_seq
+    ring.clear()
     _recorded_run(requests + requests[:1], workers)  # the repeat is deduped
-    events = ring.events_since(watermark)
+    events = ring.events()
     for kind in ("solve.start", "solve.end"):
         solves = [e for e in events if e["kind"] == kind]
         assert sorted((e["algorithm"], e["label"]) for e in solves) == unique
@@ -113,8 +111,7 @@ def test_merged_cache_counters_cover_the_whole_batch():
     counters = {k: c.value for k, c in instr.metrics.counters.items()}
     assert counters["engine.batch.requests"] == 3
     assert counters["engine.batch.dedup_hits"] == 2
-    assert counters["engine.pool.requests"] == 1
-    assert counters["engine.pool.dedup_hits"] == 2
+    assert counters["engine.batch.solved"] == 1
     assert counters["engine.cache.misses"] == 1
     assert counters["engine.cache.puts"] == 1
     assert instr.metrics.histograms["engine.request_us"].count == 1
@@ -128,8 +125,12 @@ def test_pool_gauges_report_fanout_shape():
         for k, g in instr.metrics.gauges.items()
         if k.startswith("engine.")
     }
-    # the queue is the unique misses; no worker-count gauge is recorded
-    assert gauges == {"engine.pool.queue_depth": len(requests)}
+    # the batch's shape is in its counters: no engine gauge is recorded
+    assert gauges == {}
+    counters = {k: c.value for k, c in instr.metrics.counters.items()}
+    assert counters["engine.batch.requests"] == len(requests) + 1
+    assert counters["engine.batch.dedup_hits"] == 1
+    assert counters["engine.batch.solved"] == len(requests)
 
 
 def test_dark_batch_records_nothing():

@@ -15,32 +15,43 @@ def tracker():
     return OccupancyTracker(CapacityPlan.uniform(3, 2), n_windows=4)
 
 
+def _fill(tracker, window, proc):
+    """Claim ``proc``'s remaining slots in ``window`` (and the cheapest
+    free cell of every other window alongside)."""
+    while tracker.available_mask()[window, proc]:
+        path = tracker.available_mask().argmax(axis=1)
+        path[window] = proc
+        tracker.claim_path(path)
+
+
 class TestOccupancyTracker:
     def test_initially_everything_available(self, tracker):
-        assert tracker.available_in_window(0).all()
-        assert tracker.available_everywhere().all()
+        assert tracker.available_mask().all()
 
-    def test_claim_single_window(self, tracker):
-        tracker.claim(0, 1)
-        assert tracker.occupancy[1, 0] == 1
-        assert tracker.occupancy[0, 0] == 0
+    def test_claim_single_window(self):
+        # a static placement (SCDS, a replica, one OMCDS window) is a
+        # one-window tracker
+        tracker = OccupancyTracker(CapacityPlan.uniform(3, 2), n_windows=1)
+        tracker.claim_path(np.array([2]))
+        assert tracker.occupancy.tolist() == [[0, 0, 1]]
 
     def test_window_fills_up(self, tracker):
-        tracker.claim(0, 2)
-        tracker.claim(0, 2)
-        assert not tracker.available_in_window(2)[0]
+        tracker.claim_path(np.array([1, 1, 0, 1]))
+        tracker.claim_path(np.array([2, 2, 0, 2]))
+        assert not tracker.available_mask()[2, 0]
         with pytest.raises(CapacityError):
-            tracker.claim(0, 2)
+            tracker.claim_path(np.array([1, 1, 0, 1]))
 
     def test_claim_range(self, tracker):
-        tracker.claim(1, 0, 2)
+        # a grouped datum claims its per-window expansion
+        tracker.claim_path(np.array([1, 1, 1, 0]))
         assert tracker.occupancy[:, 1].tolist() == [1, 1, 1, 0]
 
     def test_available_in_range_requires_all_windows(self, tracker):
-        tracker.claim(2, 1)
-        tracker.claim(2, 1)
-        assert tracker.available_in_range(0, 0)[2]
-        assert not tracker.available_in_range(0, 2)[2]
+        _fill(tracker, 1, 2)
+        mask = tracker.available_mask()
+        assert mask[0:1].all(axis=0)[2]
+        assert not mask[0:3].all(axis=0)[2]
 
     def test_claim_path(self, tracker):
         tracker.claim_path(np.array([0, 1, 2, 0]))
@@ -48,16 +59,16 @@ class TestOccupancyTracker:
         assert tracker.occupancy[1, 1] == 1
 
     def test_claim_path_rejects_full_cell(self, tracker):
-        tracker.claim(1, 2)
-        tracker.claim(1, 2)
+        _fill(tracker, 2, 1)
+        before = tracker.occupancy.copy()
         with pytest.raises(CapacityError):
             tracker.claim_path(np.array([0, 0, 1, 0]))
         # failed claim must not partially commit
-        assert tracker.occupancy[0, 0] == 0
+        assert np.array_equal(tracker.occupancy, before)
 
     def test_claim_path_error_names_first_full_cell(self, tracker):
-        for proc, window in ((2, 3), (2, 3), (1, 1), (1, 1)):
-            tracker.claim(proc, window)
+        tracker.claim_path(np.array([1, 1, 1, 2]))
+        tracker.claim_path(np.array([2, 1, 2, 2]))
         with pytest.raises(CapacityError) as err:
             tracker.claim_path(np.array([0, 1, 0, 2]))
         assert err.value.code == SCH002
@@ -69,12 +80,6 @@ class TestOccupancyTracker:
         with pytest.raises(ValueError):
             tracker.claim_path(np.array([0, 1]))
 
-    def test_bad_ranges(self, tracker):
-        with pytest.raises(ValueError):
-            tracker.claim(0, 3, 1)
-        with pytest.raises(ValueError):
-            tracker.available_in_range(-1, 2)
-
     def test_occupancy_view_readonly(self, tracker):
         with pytest.raises(ValueError):
             tracker.occupancy[0, 0] = 5
@@ -85,26 +90,26 @@ class TestOccupancyTracker:
 
 class TestClaimPaths:
     def test_earlier_row_wins_a_cells_last_slot(self, tracker):
-        tracker.claim(2, 1)  # window 1, pid 2: one slot left
+        tracker.claim_path(np.array([0, 2, 0, 0]))  # window 1, pid 2: one left
         paths = np.array([[0, 2, 0, 0], [1, 2, 1, 1]])
         assert tracker.claim_paths(paths) == 1
         assert tracker.occupancy[1, 2] == 2
         assert tracker.occupancy[:, 1].tolist() == [0, 0, 0, 0]
 
     def test_nothing_is_claimed_past_the_prefix(self, tracker):
-        tracker.claim(0, 3)
-        tracker.claim(0, 3)
+        tracker.claim_path(np.array([2, 2, 2, 0]))
+        tracker.claim_path(np.array([2, 2, 2, 0]))
         # row 1 hits the full cell (window 3, pid 0); row 2 would fit
-        paths = np.array([[1, 1, 1, 1], [2, 2, 2, 0], [2, 2, 2, 2]])
+        paths = np.array([[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 2]])
         assert tracker.claim_paths(paths) == 1
         assert tracker.occupancy.tolist() == [
-            [0, 1, 0], [0, 1, 0], [0, 1, 0], [2, 1, 0],
+            [0, 1, 2], [0, 1, 2], [0, 1, 2], [2, 1, 0],
         ]
 
     def test_base_mask_is_honoured_and_recorded(self, tracker):
         base = np.ones((4, 3), dtype=bool)
         base[2, 1] = False
-        tracker.claim(0, 0)
+        tracker.claim_path(np.array([0, 2, 2, 2]))
         paths = np.array([[0, 0, 0, 0], [1, 1, 1, 1], [2, 2, 2, 2]])
         masks = np.zeros((3, 4, 3), dtype=bool)
         assert tracker.claim_paths(paths, base=base, masks=masks) == 1
@@ -128,30 +133,34 @@ class TestClaimPaths:
 
 @st.composite
 def claim_cases(draw):
-    """A tracker with some slots taken, paths to claim and an optional
-    base mask; up to 150 rows, so the doubling prefix search is used."""
+    """A tracker with some paths claimed, paths to claim and an optional
+    base mask; up to 150 rows, so the doubling prefix search is used.
+    Each processor's capacity is its busiest window's load plus a drawn
+    headroom, so cells are full where the headroom is 0."""
     n_procs = draw(st.integers(1, 4))
     n_windows = draw(st.integers(1, 4))
-    capacity = draw(st.integers(1, 60))
-    tracker = OccupancyTracker(
-        CapacityPlan.uniform(n_procs, capacity), n_windows=n_windows
-    )
-    taken = draw(arrays(np.int64, (n_windows, n_procs),
-                        elements=st.integers(0, capacity)))
-    tracker.restore(taken)
+    taken = draw(arrays(np.int64, (draw(st.integers(0, 40)), n_windows),
+                        elements=st.integers(0, n_procs - 1)))
+    load = np.zeros((n_windows, n_procs), dtype=np.int64)
+    np.add.at(load, (np.arange(n_windows), taken), 1)
+    headroom = draw(arrays(np.int64, n_procs, elements=st.integers(0, 60)))
+    plan = CapacityPlan(load.max(axis=0) + headroom)
     n_rows = draw(st.integers(0, 150))
     paths = draw(arrays(np.int64, (n_rows, n_windows),
                         elements=st.integers(0, n_procs - 1)))
     base = draw(st.none() | arrays(np.bool_, (n_windows, n_procs)))
-    return tracker, paths, base
+    return plan, taken, paths, base
 
 
 @given(claim_cases())
 @settings(max_examples=150, deadline=None)
 def test_claim_paths_equals_a_loop_of_claim_path(case):
-    tracker, paths, base = case
-    reference = OccupancyTracker(tracker.plan, n_windows=tracker.n_windows)
-    reference.restore(tracker.snapshot())
+    plan, taken, paths, base = case
+    tracker = OccupancyTracker(plan, n_windows=taken.shape[1])
+    reference = OccupancyTracker(plan, n_windows=taken.shape[1])
+    for path in taken:
+        tracker.claim_path(path)
+        reference.claim_path(path)
     expected_masks, windows = [], np.arange(tracker.n_windows)
     for path in paths:
         available = reference.available_mask()
@@ -190,27 +199,3 @@ class TestFirstAvailable:
     def test_raises_when_nothing_free(self):
         with pytest.raises(CapacityError):
             first_available(np.array([1.0, 2.0]), np.array([False, False]))
-
-
-class TestSnapshotRestore:
-    def test_roundtrip(self, tracker):
-        tracker.claim(0, 1)
-        state = tracker.snapshot()
-        tracker.claim(1, 2)
-        tracker.claim(2, 0, 3)
-        tracker.restore(state)
-        assert tracker.occupancy[1, 0] == 1
-        assert tracker.occupancy[2, 1] == 0
-        assert tracker.occupancy[0, 2] == 0
-
-    def test_snapshot_is_a_copy(self, tracker):
-        state = tracker.snapshot()
-        tracker.claim(0, 0)
-        assert state[0, 0] == 0
-
-    def test_restore_shape_checked(self, tracker):
-        import numpy as np
-        import pytest
-
-        with pytest.raises(ValueError):
-            tracker.restore(np.zeros((2, 2), dtype=np.int64))

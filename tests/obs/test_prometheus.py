@@ -25,7 +25,7 @@ def assert_valid_exposition(text: str) -> None:
 def session():
     instr = Instrumentation.started()
     instr.count("engine.cache.hits", 3)
-    instr.gauge("engine.pool.queue_depth", 2)
+    instr.gauge("engine.cache.entries", 2)
     for v in (1.0, 2.0, 3.0, 10.0):
         instr.observe("engine.request_us", v)
     return instr
@@ -44,8 +44,8 @@ def test_counters_become_total_with_type_lines():
 
 def test_gauges_map_verbatim():
     text = to_prometheus(session())
-    assert "# TYPE repro_engine_pool_queue_depth gauge" in text
-    assert "repro_engine_pool_queue_depth 2" in text
+    assert "# TYPE repro_engine_cache_entries gauge" in text
+    assert "repro_engine_cache_entries 2" in text
 
 
 def test_histograms_default_to_exact_quantile_summaries():

@@ -1,4 +1,4 @@
-"""Flight recorder: bounded ring, watermarks, dumps, global hookup."""
+"""Flight recorder: bounded ring, seq stamps, dumps, global hookup."""
 
 import json
 
@@ -26,18 +26,7 @@ def test_ring_is_bounded_and_counts_drops():
     assert ring.dropped == 2
     assert [e["i"] for e in ring.events()] == [2, 3, 4]
     # seq keeps climbing even after eviction
-    assert ring.next_seq == 5
-
-
-def test_events_since_slices_one_tasks_events():
-    ring = FlightRecorder()
-    ring.record("before")
-    watermark = ring.next_seq
-    ring.record("during", n=1)
-    ring.record("during", n=2)
-    kinds = [e["kind"] for e in ring.events_since(watermark)]
-    assert kinds == ["during", "during"]
-    assert ring.events_since(ring.next_seq) == []
+    assert ring.record("tick")["seq"] == 5
 
 
 def test_tail_returns_most_recent_first_in_order():
@@ -98,9 +87,9 @@ def test_capacity_must_be_positive():
 
 def test_record_event_lands_on_the_global_ring():
     ring = flight_recorder()
-    watermark = ring.next_seq
+    ring.clear()
     record_event("test.global", marker=True)
-    (event,) = ring.events_since(watermark)
+    (event,) = ring.events()
     assert event["kind"] == "test.global"
     assert event["marker"] is True
     assert ring.capacity == DEFAULT_CAPACITY
@@ -122,10 +111,10 @@ def test_dump_on_error_without_env_keeps_ring_in_memory(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.delenv(DUMP_ENV_VAR, raising=False)
-    watermark = flight_recorder().next_seq
+    flight_recorder().clear()
     dump_on_error("quiet failure")
     # the error event is recorded but nothing is printed or written
-    (event,) = flight_recorder().events_since(watermark)
+    (event,) = flight_recorder().events()
     assert event["kind"] == "error"
     assert capsys.readouterr().err == ""
 
@@ -168,7 +157,7 @@ def test_provenance_solves_flight_record():
     import numpy as np
 
     ring = flight_recorder()
-    watermark = ring.next_seq
+    ring.clear()
     obs = Instrumentation.started(provenance=True)
     assert isinstance(obs.provenance, ProvenanceStore)
     costs = np.zeros((1, 1, 2))
@@ -179,5 +168,5 @@ def test_provenance_solves_flight_record():
         model=CostModel(Mesh1D(2)),
         method="SCDS",
     )
-    kinds = [e["kind"] for e in ring.events_since(watermark)]
+    kinds = [e["kind"] for e in ring.events()]
     assert kinds == ["provenance.solve"]
