@@ -198,9 +198,10 @@ def test_walks_claim_once_per_batch_not_once_per_datum(name, bench, monkeypatch)
     assert batches < inst.tensor.n_data / 4
 
 
+@pytest.mark.parametrize("bench", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
-def test_walk_memory_stays_below_half_the_cost_tensor(name):
-    inst = paper_instance(3, 32)
+def test_walk_memory_stays_below_half_the_cost_tensor(name, bench):
+    inst = paper_instance(bench, 32)
     costs = inst.model.all_placement_costs(inst.tensor)  # memoized first
     tracemalloc.start()
     try:
