@@ -16,11 +16,12 @@ from ..mem import CapacityError, CapacityPlan, OccupancyTracker
 from ..obs import NOOP, Instrumentation, record_decisions, resolve
 from ..trace import ReferenceTensor
 from .cost import CostModel
-from .gomcds import _BLOCK, _claim_walk
+from .gomcds import _claim_walk
 from .schedule import Schedule
 
 __all__ = ["lomcds"]
 
+_BLOCK = 128  # data per block of the unconstrained argmin and of the guesses
 _MASKED_CELLS = 1 << 16  # costs per masked-argmin block (see _masked_argmin)
 
 

@@ -358,6 +358,7 @@ def _assert_batched_rows_match(costs, masks, vols, grid):
     ):
         with (
             patch.object(gomcds_module, "_BLOCK", block),
+            patch.object(gomcds_module, "_BLOCK_CELLS", 0),
             patch.object(gomcds_module, "_L1_MIN_CELLS", 0),
         ):
             paths, totals, potentials = gomcds_module._all_paths_vectorized(

@@ -64,6 +64,7 @@ def tie_heavy_batches(draw):
 def _solve(costs, dist, vols, masks, grid, block, potentials=True):
     with (
         patch.object(GOMCDS, "_BLOCK", block),
+        patch.object(GOMCDS, "_BLOCK_CELLS", 0),
         patch.object(GOMCDS, "_L1_MIN_CELLS", 0),
     ):
         return GOMCDS._all_paths_vectorized(
@@ -73,14 +74,16 @@ def _solve(costs, dist, vols, masks, grid, block, potentials=True):
 
 
 @given(
-    f=arrays(np.float64, (4, 12), elements=st.sampled_from((0.0, 1.0, 2.0, np.inf))),
+    f=arrays(np.float64, (12, 4), elements=st.sampled_from((0.0, 1.0, 2.0, np.inf))),
     vols=arrays(np.float64, (4,), elements=st.sampled_from((0.0, 1.0, 2.0))),
     grid=st.sampled_from(((12,), (3, 4), (4, 3), (2, 6), (1, 12))),
 )
 @settings(max_examples=80, deadline=None)
 def test_relax_equals_the_dense_min_plus_step(f, vols, grid):
+    """``f`` is ``(m, k)``, the data on the last axis as in a block's DP
+    table; the oracle broadcasts ``(from, to, k)`` and reduces ``from``."""
     dist = _topology(grid).distance_matrix().astype(np.float64)
-    dense = (f[:, :, None] + vols[:, None, None] * dist[None]).min(axis=1)
+    dense = (f[:, None, :] + dist[:, :, None] * vols).min(axis=0)
     assert np.array_equal(GOMCDS._l1_relax(f, vols, grid), dense)
 
 
