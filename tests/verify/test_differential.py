@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import CostModel, gomcds, reschedule_around_faults
 from repro.diagnostics import VER008, VER009, VER010, Severity
-from repro.faults import FaultPlan, NodeFault
+from repro.faults import FaultPlan, LinkFault, NodeFault
 from repro.mem import CapacityPlan
 from repro.verify import interpret_schedule, run_differential
 from repro.workloads import benchmark
@@ -51,6 +51,58 @@ def test_faulted_scenario_agrees(mesh44):
     )
     assert diags == []
     assert facts["static"]["faulted"] is True
+
+
+#: one plan per faulted-interpretation branch: a permanent node fault
+#: (evacuation, dead endpoints), severed links (detour routes), a node
+#: that heals, two transient faults that cut pid 0 off while it stays
+#: alive (no-route fetches and skipped moves), and transient drops (the
+#: per-event retry path)
+FAULT_PLANS = {
+    "node": FaultPlan(node_faults=(NodeFault(pid=5, start=2),)),
+    "link": FaultPlan(
+        link_faults=(
+            LinkFault(src=5, dst=6, start=1),
+            LinkFault(src=9, dst=5, end=3),
+        )
+    ),
+    "transient": FaultPlan(node_faults=(NodeFault(pid=10, start=1, end=3),)),
+    "partition": FaultPlan(
+        node_faults=(
+            NodeFault(pid=1, start=1, end=3),
+            NodeFault(pid=4, start=1, end=3),
+        )
+    ),
+    "drops": FaultPlan(drop_rate=0.2, seed=3),
+}
+
+
+@pytest.mark.parametrize("rescheduled", [True, False],
+                         ids=["rescheduled", "fault-unaware"])
+@pytest.mark.parametrize("plan", list(FAULT_PLANS))
+@pytest.mark.parametrize("bench", [1, 2, 3, 4, 5])
+def test_faulted_static_and_replay_agree(bench, plan, rescheduled, mesh44):
+    """The faulted interpreter and the degraded replay are independent
+    derivations; every counter, cost and link volume must agree, for the
+    schedule rescheduled around the plan and for the healthy one run
+    into it (dead centers, skipped moves, unreachable fetches)."""
+    faults = FAULT_PLANS[plan]
+    wl = benchmark(bench, 8, mesh44)
+    tensor = wl.reference_tensor()
+    model = CostModel(mesh44)
+    capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
+    if rescheduled:
+        schedule = reschedule_around_faults(tensor, model, faults, capacity)
+    else:
+        schedule = gomcds(tensor, model, capacity)
+    prediction, _ = interpret_schedule(
+        schedule, tensor, model, trace=wl.trace, faults=faults
+    )
+    diags, facts = run_differential(
+        schedule, wl.trace, tensor, model, prediction, faults=faults
+    )
+    assert not {d.code for d in diags} & {VER008, VER009, VER010}
+    assert facts["replay"]["n_delivered"] == prediction.n_delivered
 
 
 def test_wrong_cost_prediction_is_ver008(mesh44):
