@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CostModel, evaluate_schedule, gomcds
-from repro.diagnostics import VER001, VER002, VER003, VER004, Severity
-from repro.faults import FaultPlan, NodeFault
+from repro.diagnostics import (
+    VER001,
+    VER002,
+    VER003,
+    VER004,
+    Diagnostic,
+    Severity,
+)
+from repro.faults import FaultPlan, LinkFault, NodeFault
 from repro.grid import (
     Mesh1D,
     Mesh2D,
@@ -157,6 +164,114 @@ def test_faulted_prediction_matches_replay(bench1, mesh44):
     assert prediction.n_evacuated == report.n_evacuated
 
 
+def _dead_movements_oracle(schedule, counts, dist):
+    """VER004 move by move: ``counts[d, w:w_next].sum()`` per relocation."""
+    from repro.verify.abstract import _emit
+
+    diagnostics = []
+    by_datum = {}
+    for d, w, src, dst in schedule.movements():
+        by_datum.setdefault(d, []).append((w, src, dst))
+    for d, moves in by_datum.items():
+        for j, (w, src, dst) in enumerate(moves):
+            w_next = (
+                moves[j + 1][0] if j + 1 < len(moves) else schedule.n_windows
+            )
+            if counts[d, w:w_next, :].sum() > 0:
+                continue
+            if w_next == schedule.n_windows:
+                wasted = dist[src, dst] > 0
+                hint = "drop the final relocation; nothing reads the datum"
+            else:
+                nxt = int(schedule.centers[d, w_next])
+                wasted = dist[src, dst] + dist[dst, nxt] > dist[src, nxt]
+                hint = f"route {src} -> {nxt} directly"
+            if wasted:
+                _emit(
+                    diagnostics,
+                    Diagnostic(
+                        code=VER004,
+                        severity=Severity.WARNING,
+                        message=(
+                            f"dead data movement: the relocation "
+                            f"{src} -> {dst} serves no reference before "
+                            "the datum moves again and strictly wastes "
+                            "volume"
+                        ),
+                        datum=int(d),
+                        window=int(w),
+                        processor=int(dst),
+                        hint=hint,
+                    ),
+                )
+    return diagnostics
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_dead_movements_match_the_per_move_oracle(data):
+    """Sparse references and restless centers: many dead moves, some of
+    them past the diagnostic cap."""
+    from repro.core import Schedule
+    from repro.trace import build_reference_tensor
+    from repro.workloads import trace_from_counts
+
+    topo = data.draw(st.sampled_from(LINK_TOPOLOGIES))
+    n_data = data.draw(st.integers(1, 12))
+    n_windows = data.draw(st.integers(1, 6))
+    m = topo.n_procs
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    counts = rng.integers(0, 3, (n_data, n_windows, m))
+    counts *= rng.random((n_data, n_windows, 1)) < 0.3  # mostly unreferenced
+    trace, windows = trace_from_counts(counts, topo)
+    tensor = build_reference_tensor(trace, windows)
+    schedule = Schedule(
+        centers=rng.integers(0, m, (n_data, tensor.n_windows)),
+        windows=windows, method="drawn",
+    )
+    model = CostModel(topo)
+    _, diags = interpret_schedule(schedule, tensor, model, trace=trace)
+    assert [d for d in diags if d.code == VER004] == _dead_movements_oracle(
+        schedule, tensor.counts, model.distances
+    )
+
+
+#: structural faults whose fetch windows take the numpy path without drops
+NUMPY_WINDOW_PLANS = [
+    (NodeFault(pid=5, start=2),),
+    (NodeFault(pid=1, start=1, end=3), NodeFault(pid=4, start=1, end=3)),
+]
+
+
+@pytest.mark.parametrize("bench", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("nodes", NUMPY_WINDOW_PLANS, ids=["node", "partition"])
+def test_drop_free_windows_equal_the_per_event_loop(bench, nodes, mesh44):
+    """A drop rate too small to ever drop takes the per-event loop and
+    must predict exactly what the numpy windows predict without drops."""
+    wl = benchmark(bench, 8, mesh44)
+    tensor = wl.reference_tensor()
+    model = CostModel(mesh44)
+    capacity = CapacityPlan.paper_rule(wl.n_data, mesh44.n_procs, 2.0)
+    schedule = gomcds(tensor, model, capacity)
+    links = (LinkFault(src=6, dst=7, start=1),)
+    predictions = []
+    for drop_rate in (0.0, 1e-300):
+        plan = FaultPlan(node_faults=nodes, link_faults=links,
+                         drop_rate=drop_rate)
+        prediction, _ = interpret_schedule(
+            schedule, tensor, model, trace=wl.trace, faults=plan
+        )
+        predictions.append(prediction)
+    fast, loop = predictions
+    if len(nodes) > 1:  # pid 0 is cut off: no-route fetches
+        assert fast.n_unreachable > 0
+    assert fast.to_dict() == loop.to_dict()
+    assert fast.n_retries == loop.n_retries
+    assert fast.window_links == loop.window_links
+    assert np.array_equal(fast.per_window_cost, loop.per_window_cost)
+    assert np.array_equal(fast.occupancy, loop.occupancy)
+
+
 # -- numpy link accounting --------------------------------------------------
 
 LINK_TOPOLOGIES = [
@@ -228,6 +343,17 @@ def test_numpy_window_links_equal_the_per_transfer_oracle(data):
     assert prediction.window_links == _per_transfer_links(
         schedule, tensor, model
     )
+    # movement costs, priced move by move in the schedule's order
+    dist, vols = model.distances, model.volume_vector(n_data)
+    per_window = (
+        (dist[centers] * tensor.counts).sum(axis=2) * vols[:, None]
+    ).sum(axis=0)
+    movement = 0.0
+    for d, w, src, dst in schedule.movements():
+        movement += float(dist[src, dst]) * float(vols[d])
+        per_window[w] += float(dist[src, dst]) * float(vols[d])
+    assert prediction.movement_cost == movement
+    assert prediction.per_window_cost.tolist() == per_window.tolist()
 
 
 @pytest.mark.parametrize("volume", [1.0, 1.5])
