@@ -70,15 +70,19 @@ class Schedule:
 
         ``window_boundary`` is the index of the window the datum moves
         *into* (movement happens between windows ``w-1`` and ``w``).
+        The rows of :meth:`movement_array`, in its order.
         """
-        if self.n_windows < 2:
-            return []
-        moved = self.centers[:, 1:] != self.centers[:, :-1]
-        data_ids, boundaries = np.nonzero(moved)
-        return [
-            (int(d), int(w) + 1, int(self.centers[d, w]), int(self.centers[d, w + 1]))
-            for d, w in zip(data_ids, boundaries)
-        ]
+        return [tuple(row) for row in self.movement_array().tolist()]
+
+    def movement_array(self) -> np.ndarray:
+        """:meth:`movements` as an ``(n, 4)`` int64 array, datum-major."""
+        centers = self.centers
+        data, before = np.nonzero(centers[:, 1:] != centers[:, :-1])
+        return np.stack(
+            [data, before + 1, centers[data, before],
+             centers[data, before + 1]],
+            axis=1,
+        ).astype(np.int64, copy=False)
 
     def n_movements(self) -> int:
         """Total number of datum relocations across all boundaries."""

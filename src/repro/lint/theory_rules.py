@@ -114,16 +114,17 @@ def check_separable_convexity(context):
         rng = np.random.default_rng(0)
         picks = rng.choice(len(rows), size=_THY002_SAMPLE, replace=False)
         rows = [rows[int(i)] for i in picks]
-    for d, w in rows:
-        if not is_separable_convex(costs[d, w], topology):
-            yield Diagnostic(
-                code=THY002,
-                severity=Severity.WARNING,
-                message=(
-                    "placement-cost row is not separable convex; the cost "
-                    "model or reference tensor is corrupted and the §4 "
-                    "monotonicity guarantees do not apply"
-                ),
-                datum=int(d),
-                window=int(w),
-            )
+    data, windows = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    convex = is_separable_convex(costs[data, windows], topology)
+    for d, w in zip(data[~convex].tolist(), windows[~convex].tolist()):
+        yield Diagnostic(
+            code=THY002,
+            severity=Severity.WARNING,
+            message=(
+                "placement-cost row is not separable convex; the cost "
+                "model or reference tensor is corrupted and the §4 "
+                "monotonicity guarantees do not apply"
+            ),
+            datum=d,
+            window=w,
+        )

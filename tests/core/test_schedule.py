@@ -39,6 +39,19 @@ def test_single_window_has_no_movements():
     sched = Schedule(centers=np.array([[2]]), windows=windows)
     assert sched.movements() == []
     assert sched.n_movements() == 0
+    assert sched.movement_array().shape == (0, 4)
+
+
+def test_movement_array_holds_the_movements_in_order(windows3):
+    centers = np.array([[0, 1, 1], [3, 3, 0], [2, 0, 2]])
+    sched = Schedule(centers=centers, windows=windows3)
+    moves = sched.movement_array()
+    assert moves.dtype == np.int64
+    assert moves.tolist() == [list(m) for m in sched.movements()]
+    assert sched.movements() == [
+        (0, 1, 0, 1), (1, 2, 3, 0), (2, 1, 2, 0), (2, 2, 0, 2)
+    ]
+    assert all(type(x) is int for m in sched.movements() for x in m)
 
 
 def test_occupancy(windows3):
